@@ -22,9 +22,8 @@ from .model import (
     growth_constant,
     phi_constants,
 )
-from .noise import NoiseSpec, NoiseStream, sample_increments, trace
+from .noise import NoiseSpec, NoiseStream, trace
 from .solver import (
-    GalerkinState,
     SimConfig,
     TrajectoryRecord,
     coupled_simulate,
@@ -54,9 +53,7 @@ __all__ = [
     "phi_constants",
     "NoiseSpec",
     "NoiseStream",
-    "sample_increments",
     "trace",
-    "GalerkinState",
     "SimConfig",
     "TrajectoryRecord",
     "coupled_simulate",

@@ -9,7 +9,6 @@ timestamps are emitted.
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -80,7 +79,7 @@ def cmd_verify(args):
     return EXIT_OK if verdict.passed else EXIT_GATE
 
 
-def _write_trajectory_csv(path, record, extra_modes=0):
+def _write_trajectory_csv(path, record):
     header = "t,h_norm,l2_norm,lrp1_power"
     lines = [header]
     for i, t in enumerate(record.times):
@@ -273,11 +272,6 @@ def main(argv=None):
             p.add_argument("--config", required=True)
             p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", required=True)
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=int(os.environ.get("SPME_JOBS", "1")),
-        )
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import OperatorSpec
-from .model import Nonlinearity
-from .noise import NoiseSpec
-from .solver import SimConfig
+from .model import PHI_KINDS, PSI_KINDS, Nonlinearity
+from .noise import PROFILES, NoiseSpec
+from .solver import INITIAL_PRESETS, SCHEMES, SimConfig
 
 
 class ConfigError(ValueError):
@@ -59,51 +59,36 @@ class _Key:
             errors.append(f"{name}: {self.message or 'out of range'}")
 
 
+def _choice(default, choices, message):
+    return _Key(str, default, lambda v: v in choices, message)
+
+
+# callable Phi and coupling-matrix noise are library-only: a config
+# document has no way to spell them
+_CONFIG_PHI_KINDS = tuple(k for k in PHI_KINDS if k != "custom")
+_CONFIG_PROFILES = tuple(p for p in PROFILES if p != "full_matrix")
+
 SCHEMA = {
     "operator.n_modes": _Key(int, 64, lambda v: v >= 1, "must be positive"),
     "operator.grid_size": _Key(int, 512, lambda v: v >= 4, "must be at least 4"),
     "model.r": _Key(float, 3.0, lambda v: v > 1, "r must exceed 1"),
-    "model.psi": _Key(
-        str,
-        "odd_power",
-        lambda v: v in ("odd_power", "linear_plus_odd_power"),
-        "unknown psi kind",
-    ),
+    "model.psi": _choice("odd_power", PSI_KINDS, "unknown psi kind"),
     "model.alpha": _Key(float, 0.0, np.isfinite, "must be finite"),
     "model.gamma": _Key(float, 1.0, np.isfinite, "must be finite"),
-    "model.phi": _Key(
-        str,
-        "zero",
-        lambda v: v in ("zero", "scaled_identity", "bounded_lipschitz"),
-        "unknown phi kind",
-    ),
+    "model.phi": _choice("zero", _CONFIG_PHI_KINDS, "unknown phi kind"),
     "model.beta": _Key(float, 0.0, np.isfinite, "must be finite"),
-    "noise.profile": _Key(
-        str,
-        "zero",
-        lambda v: v in ("zero", "diagonal_power", "explicit_diagonal"),
-        "unknown noise profile",
-    ),
+    "noise.profile": _choice("zero", _CONFIG_PROFILES, "unknown noise profile"),
     "noise.c": _Key(float, 0.0, lambda v: v >= 0, "must be nonnegative"),
     "noise.a": _Key(float, 0.0, lambda v: v >= 0, "must be nonnegative"),
     "noise.q": _Key(_parse_float_list, ()),
     "noise.seed": _Key(int, 0, lambda v: 0 <= v < 2**64, "must fit in 64 bits"),
     "sim.dt": _Key(float, 1e-4, lambda v: v > 0, "must be positive"),
     "sim.t_end": _Key(float, 1.0, lambda v: v > 0, "must be positive"),
-    "sim.scheme": _Key(
-        str,
-        "tamed_em",
-        lambda v: v in ("explicit_em", "tamed_em"),
-        "unknown scheme",
-    ),
+    "sim.scheme": _choice("tamed_em", SCHEMES, "unknown scheme"),
     "sim.record_every": _Key(int, 100, lambda v: v >= 1, "must be positive"),
-    "sim.initial": _Key(
-        str, "e1", lambda v: v in ("zero", "e1", "band"), "unknown preset"
-    ),
+    "sim.initial": _choice("e1", INITIAL_PRESETS, "unknown preset"),
     "sim.initial_scale": _Key(float, 1.0, np.isfinite, "must be finite"),
-    "sim.initial_y": _Key(
-        str, "e1", lambda v: v in ("zero", "e1", "band"), "unknown preset"
-    ),
+    "sim.initial_y": _choice("e1", INITIAL_PRESETS, "unknown preset"),
     "sim.initial_y_scale": _Key(float, -1.0, np.isfinite, "must be finite"),
     "sim.gate_override": _Key(_parse_bool, False),
     "ensemble.n_traj": _Key(int, 100, lambda v: v >= 2, "need at least 2"),
@@ -209,8 +194,7 @@ def build_model(config):
     )
 
 
-def build_noise(config, seed_override=None):
-    seed = config["noise.seed"] if seed_override is None else seed_override
+def build_noise(config):
     return NoiseSpec(
         profile=config["noise.profile"],
         c=config["noise.c"],
@@ -218,15 +202,15 @@ def build_noise(config, seed_override=None):
         q=np.asarray(config["noise.q"], dtype=float)
         if config["noise.profile"] == "explicit_diagonal"
         else None,
-        master_seed=seed,
+        master_seed=config["noise.seed"],
     )
 
 
-def build_sim(config, seed_override=None):
+def build_sim(config):
     return SimConfig(
         operator=build_operator(config),
         model=build_model(config),
-        noise=build_noise(config, seed_override),
+        noise=build_noise(config),
         dt=config["sim.dt"],
         t_end=config["sim.t_end"],
         scheme=config["sim.scheme"],

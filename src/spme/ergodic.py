@@ -7,7 +7,7 @@ sigma - delta in the strictly monotone regime).  The invariant-measure
 moment of |X|^(r+1) is estimated from post-burn-in samples.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,7 +121,7 @@ def _initial_label(preset, scale):
     return preset if scale == 1.0 else f"{scale:g}*{preset}"
 
 
-def run_ensemble(config, base_stream_offset=0):
+def run_ensemble(config):
     """Simulate n_traj trajectories per initial preset.
 
     Stream ids are allocated per trajectory (shared across initial
@@ -132,7 +132,6 @@ def run_ensemble(config, base_stream_offset=0):
     base = config.base
     op = base.operator
     funcs = [BUILTIN_FUNCTIONALS[name] for name in config.functionals]
-    dt = base.dt
     sample_times = np.asarray(config.sample_times, dtype=float)
     snap = tuple(float(t) for t in sample_times)
 
@@ -145,22 +144,9 @@ def run_ensemble(config, base_stream_offset=0):
         streams = None
         if not base.noise.is_zero:
             streams = [
-                noise_mod.NoiseStream(base.noise, base_stream_offset + j)
-                for j in range(config.n_traj)
+                noise_mod.NoiseStream(base.noise, j) for j in range(config.n_traj)
             ]
-        cfg = SimConfig(
-            operator=op,
-            model=base.model,
-            noise=base.noise,
-            dt=dt,
-            t_end=base.t_end,
-            scheme=base.scheme,
-            record_every=base.record_every,
-            initial=preset,
-            initial_scale=scale,
-            gate_override=base.gate_override,
-            snapshot_times=snap,
-        )
+        cfg = replace(base, initial=preset, initial_scale=scale, snapshot_times=snap)
         rec = run_batch(cfg, streams, a0)
         n_excl = int(np.sum(rec.blown))
         if n_excl / config.n_traj > 0.01:
@@ -174,8 +160,7 @@ def run_ensemble(config, base_stream_offset=0):
             fv[:, :, fi] = fn(snaps, op).T
         func_values[label] = fv
         # sample-time observables from the snapshots themselves
-        vals = op.synth(snaps)
-        lrp1[label] = op.lp_power(vals, base.model.r + 1.0).T
+        lrp1[label] = op.lp_power(op.synth(snaps), base.model.r + 1.0).T
         h_sq[label] = (op.h_norm(snaps) ** 2).T
         finals[label] = rec.final_coeffs[live]
         excluded[label] = n_excl
@@ -241,8 +226,7 @@ def moment_check(samples, burn_in, doubled_samples=None):
     return float(mean), float(se), flag
 
 
-def mixing_experiment(config, base_stream_offset=0, exponential=False,
-                      fit_window=None, reference_rate=None):
+def mixing_experiment(config, exponential=False, fit_window=None):
     """Estimate the mixing gap toward the invariant measure and fit its rate.
 
     The reference mu(F) is taken from the most mixed ensemble (the one
@@ -251,7 +235,7 @@ def mixing_experiment(config, base_stream_offset=0, exponential=False,
     """
     if len(config.initial_set) < 2:
         raise ValueError("need at least two initial presets")
-    samples = run_ensemble(config, base_stream_offset)
+    samples = run_ensemble(config)
     times = samples.sample_times
     labels = list(samples.func_values)
     ref_label = next((l for l in labels if l.endswith("zero")), labels[0])

@@ -111,14 +111,6 @@ class GateVerdict:
     reasons: tuple
 
 
-def evaluate_psi(s, spec):
-    return spec.psi(s)
-
-
-def evaluate_phi(s, spec):
-    return spec.phi(s)
-
-
 def estimate_eta_sigma(spec, search_box=(-10.0, 10.0), grid_count=400):
     """Certify (eta, sigma) by dense-grid minimization.
 

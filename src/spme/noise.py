@@ -7,7 +7,7 @@ supported).  Streams are counter-based (Philox) and keyed by
 independently of scheduling.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import zeta
@@ -60,10 +60,15 @@ class NoiseSpec:
             out[:m] = self.q[:m]
             return out
         # row-sum amplitudes q_i^2 = sum_j q_ij^2
+        m = self.truncated_matrix(n_modes)
+        return np.sqrt(np.sum(m * m, axis=1))
+
+    def truncated_matrix(self, n_modes):
+        """The full_matrix couplings restricted (zero-padded) to n_modes."""
         m = np.zeros((n_modes, n_modes))
         k = min(n_modes, self.matrix.shape[0])
         m[:k, :k] = self.matrix[:k, :k]
-        return np.sqrt(np.sum(m * m, axis=1))
+        return m
 
     @property
     def is_zero(self):
@@ -106,29 +111,13 @@ class NoiseStream:
         return self._rng.standard_normal(shape)
 
 
-def sample_increments(spec, n_modes, dt, stream):
-    """One vector of per-mode noise increments over a step of length dt."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    xi = stream.normals(n_modes)
-    if spec.profile == "full_matrix":
-        m = np.zeros((n_modes, n_modes))
-        k = min(n_modes, spec.matrix.shape[0])
-        m[:k, :k] = spec.matrix[:k, :k]
-        return m @ (xi * np.sqrt(dt))
-    # multiply xi by sqrt(dt) first so a diagonal full_matrix run is
-    # bit-identical to the explicit_diagonal one
-    return spec.q_vector(n_modes) * (xi * np.sqrt(dt))
-
-
 def sample_increment_block(spec, n_modes, dt, stream, count):
     """(count, n_modes) block of consecutive increments from one stream."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     xi = stream.normals((count, n_modes))
     if spec.profile == "full_matrix":
-        m = np.zeros((n_modes, n_modes))
-        k = min(n_modes, spec.matrix.shape[0])
-        m[:k, :k] = spec.matrix[:k, :k]
-        return (xi * np.sqrt(dt)) @ m.T
+        return (xi * np.sqrt(dt)) @ spec.truncated_matrix(n_modes).T
+    # multiply xi by sqrt(dt) first so a diagonal full_matrix run is
+    # bit-identical to the explicit_diagonal one
     return spec.q_vector(n_modes) * (xi * np.sqrt(dt))

@@ -13,7 +13,7 @@ stability guard.  A batch axis over independent trajectories is
 supported throughout, with per-trajectory noise streams.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,18 +21,11 @@ from . import noise as noise_mod
 from .model import AssumptionError, certify_constants
 
 SCHEMES = ("explicit_em", "tamed_em")
+INITIAL_PRESETS = ("zero", "e1", "band")
 _BLOCK = 256  # noise increments are buffered in blocks of this many steps
 
 # explicit Euler is only trusted while dt <= GUARD_FRACTION / (lambda_n * (1 + max|Psi'|))
 GUARD_FRACTION = 0.1
-
-
-@dataclass
-class GalerkinState:
-    """Spectral coefficients at a point in time."""
-
-    t: float
-    coeffs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -106,41 +99,27 @@ def initial_coeffs(config, preset=None, scale=None):
     op = config.operator
     preset = config.initial if preset is None else preset
     scale = config.initial_scale if scale is None else scale
-    if isinstance(preset, str):
-        if preset == "zero":
-            a = np.zeros(op.n_modes)
-        elif preset == "e1":
-            a = np.zeros(op.n_modes)
-            a[0] = 1.0
-        elif preset == "band":
-            rng = np.random.default_rng(12345)
-            a = np.zeros(op.n_modes)
-            k = min(8, op.n_modes)
-            a[:k] = rng.standard_normal(k) / np.arange(1, k + 1)
-        else:
-            raise ValueError(f"unknown initial preset {preset!r}")
-    else:
-        a = np.zeros(op.n_modes)
+    a = np.zeros(op.n_modes)
+    if not isinstance(preset, str):
         vals = np.asarray(preset, dtype=float)
         a[: len(vals)] = vals
+    elif preset not in INITIAL_PRESETS:
+        raise ValueError(f"unknown initial preset {preset!r}")
+    elif preset == "e1":
+        a[0] = 1.0
+    elif preset == "band":
+        rng = np.random.default_rng(12345)
+        k = min(8, op.n_modes)
+        a[:k] = rng.standard_normal(k) / np.arange(1, k + 1)
     return scale * a
 
 
 def drift(coeffs, model, operator):
-    """Pseudo-spectral drift vector; batched over leading axes.
+    """Pseudo-spectral drift vector and the grid values it was taken at.
 
-    Raises no exception for overflow: non-finite output is the caller's
-    blow-up signal.
+    Batched over leading axes; returns (b, values).  Raises no exception
+    for overflow: non-finite output is the caller's blow-up signal.
     """
-    values = operator.synth(coeffs)
-    psi_hat = operator.analyze(model.psi(values))
-    b = -operator.eigenvalues * psi_hat
-    if not model.phi_is_zero:
-        b = b + operator.analyze(model.phi(values))
-    return b
-
-
-def _drift_with_values(coeffs, model, operator):
     values = operator.synth(coeffs)
     psi_hat = operator.analyze(model.psi(values))
     b = -operator.eigenvalues * psi_hat
@@ -149,25 +128,25 @@ def _drift_with_values(coeffs, model, operator):
     return b, values
 
 
-def _apply_scheme(coeffs, b, dt, increments, scheme, model, operator, values=None):
+def step(coeffs, dt, increments, scheme, model, operator):
+    """Advance coefficients by one Euler-Maruyama step; batched over leading axes.
+
+    Returns (new coeffs, unstable).  For explicit_em, `unstable` flags the
+    rows whose start-of-step grid values break the stability guard
+    dt <= GUARD_FRACTION / (lambda_n * (1 + max|Psi'|)); it is None for
+    tamed_em, which needs no guard.
+    """
+    b, values = drift(coeffs, model, operator)
+    s = model.psi_prime(np.max(np.abs(values), axis=-1))
+    lam = operator.eigenvalues
     if scheme == "tamed_em":
         # per-mode taming with the spectral stiffness estimate
         # mu_k = lambda_k * sup|Psi'(X)|: unconditionally stable for the
         # stiff diagonal part, O(dt * lambda_k * s) relative bias on mode k
-        if values is None:
-            values = operator.synth(coeffs)
-        s = model.psi_prime(np.max(np.abs(values), axis=-1))
-        lam = operator.eigenvalues
         factor = dt / (1.0 + dt * lam * s[..., None])
-        return coeffs + b * factor + increments
-    return coeffs + b * dt + increments
-
-
-def step(state, dt, increments, scheme, model, operator):
-    """Advance one state by a single step; returns a new GalerkinState."""
-    b, values = _drift_with_values(state.coeffs, model, operator)
-    new = _apply_scheme(state.coeffs, b, dt, increments, scheme, model, operator, values)
-    return GalerkinState(t=state.t + dt, coeffs=new)
+        return coeffs + b * factor + increments, None
+    unstable = dt > GUARD_FRACTION / (lam[-1] * (1.0 + s))
+    return coeffs + b * dt + increments, unstable
 
 
 def _check_gate(config):
@@ -220,9 +199,8 @@ def run_batch(config, streams, a0):
     blow_times = np.full(B, np.nan)
     blow_reason = None
     quiet = nspec.is_zero
-    lam_n = op.eigenvalues[-1]
 
-    def record(slot, kind_idx):
+    def record(slot):
         live = ~blown
         if not np.any(live):
             return
@@ -231,7 +209,7 @@ def run_batch(config, streams, a0):
         l2_norms[slot, live] = op.l2_norm_spectral(a[live])
         lrp1[slot, live] = op.lp_power(vals, mdl.r + 1.0)
 
-    record(0, 0)
+    record(0)
     if snaps is not None and 0 in snap_set:
         snaps[snap_set[0]] = a
 
@@ -246,18 +224,15 @@ def run_batch(config, streams, a0):
                 dW[j] = noise_mod.sample_increment_block(nspec, n, dt, stream, count)
         for k in range(count):
             step_idx += 1
-            b, values = _drift_with_values(a, mdl, op)
-            if config.scheme == "explicit_em":
-                vmax = np.max(np.abs(values), axis=-1)
-                dt_max = GUARD_FRACTION / (lam_n * (1.0 + mdl.psi_prime(vmax)))
-                bad = (~blown) & (dt > dt_max)
+            inc = 0.0 if dW is None else dW[:, k, :]
+            a, unstable = step(a, dt, inc, config.scheme, mdl, op)
+            if unstable is not None:
+                bad = (~blown) & unstable
                 if np.any(bad):
                     blown |= bad
                     blow_times[bad] = step_idx * dt
                     blow_reason = "stability guard violated"
                     a[bad] = np.nan
-            inc = 0.0 if dW is None else dW[:, k, :]
-            a = _apply_scheme(a, b, dt, inc, config.scheme, mdl, op, values)
             bad = (~blown) & ~np.all(np.isfinite(a), axis=-1)
             if np.any(bad):
                 blown |= bad
@@ -265,7 +240,7 @@ def run_batch(config, streams, a0):
                 blow_reason = blow_reason or "non-finite state"
                 a[bad] = np.nan
             if step_idx in rec_set:
-                record(rec_set[step_idx], step_idx)
+                record(rec_set[step_idx])
             if snaps is not None and step_idx in snap_set:
                 snaps[snap_set[step_idx]][~blown] = a[~blown]
 
@@ -360,14 +335,15 @@ def coupled_simulate(config, initial_x, initial_y, stream=None):
         for k in range(count):
             step_idx += 1
             inc = 0.0 if dW is None else dW[k]
-            bx, vx = _drift_with_values(ax, mdl, op)
-            by, vy = _drift_with_values(ay, mdl, op)
-            ax = _apply_scheme(ax, bx, dt, inc, config.scheme, mdl, op, vx)
-            ay = _apply_scheme(ay, by, dt, inc, config.scheme, mdl, op, vy)
-            if not (np.all(np.isfinite(ax)) and np.all(np.isfinite(ay))):
+            ax, ux = step(ax, dt, inc, config.scheme, mdl, op)
+            ay, uy = step(ay, dt, inc, config.scheme, mdl, op)
+            if ux or uy:
+                blow_reason = "stability guard violated"
+            elif not (np.all(np.isfinite(ax)) and np.all(np.isfinite(ay))):
+                blow_reason = "non-finite state"
+            if blow_reason:
                 blown = True
                 blow_time = step_idx * dt
-                blow_reason = "non-finite state"
                 break
             if step_idx in rec_set:
                 record(rec_set[step_idx])

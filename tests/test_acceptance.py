@@ -241,7 +241,7 @@ def test_criterion_7_oracle_suite():
     op = OperatorSpec(n_modes=16, grid_size=512)
     a = np.zeros(16)
     a[0] = 1.0
-    b = drift(a, CUBIC, op)
+    b, _ = drift(a, CUBIC, op)
     expected = np.zeros(16)
     expected[0] = -3.0 * np.pi**2 / 2.0
     expected[2] = 9.0 * np.pi**2 / 2.0

@@ -76,7 +76,7 @@ def test_builders(tmp_path):
     assert mdl.r == 3.0 and mdl.psi_kind == "odd_power"
     nz = build_noise(cfg)
     assert nz.master_seed == 5
-    assert build_noise(cfg, seed_override=9).master_seed == 9
+    assert build_noise(cfg.with_value("noise.seed", 9)).master_seed == 9
 
 
 def test_verify_subcommand(tmp_path):

@@ -8,7 +8,6 @@ from spme.noise import (
     NoiseSpec,
     NoiseStream,
     sample_increment_block,
-    sample_increments,
     trace,
 )
 
@@ -75,8 +74,8 @@ def test_diagonal_matrix_bit_identity():
     q = np.array([0.3, 0.7, 0.1])
     diag = NoiseSpec(profile="explicit_diagonal", q=q, master_seed=5)
     full = NoiseSpec(profile="full_matrix", matrix=np.diag(q), master_seed=5)
-    a = sample_increments(diag, 3, 0.01, NoiseStream(diag))
-    b = sample_increments(full, 3, 0.01, NoiseStream(full))
+    a = sample_increment_block(diag, 3, 0.01, NoiseStream(diag), 1)
+    b = sample_increment_block(full, 3, 0.01, NoiseStream(full), 1)
     assert np.array_equal(a, b)
     a = sample_increment_block(diag, 3, 0.01, NoiseStream(diag), 7)
     b = sample_increment_block(full, 3, 0.01, NoiseStream(full), 7)
@@ -94,4 +93,4 @@ def test_validation():
         NoiseSpec(profile="full_matrix", matrix=np.ones(3))
     spec = NoiseSpec(profile="zero")
     with pytest.raises(ValueError):
-        sample_increments(spec, 4, -0.1, NoiseStream(spec))
+        sample_increment_block(spec, 4, -0.1, NoiseStream(spec), 1)

@@ -5,10 +5,11 @@ import pytest
 
 from spme.basis import OperatorSpec
 from spme.bounds import BoundParams, contraction_bound
+from spme.cli import main
+from spme.config import ConfigError, parse_config
 from spme.model import AssumptionError, Nonlinearity, certify_constants
 from spme.noise import NoiseSpec, NoiseStream, trace
 from spme.solver import (
-    GalerkinState,
     SimConfig,
     coupled_simulate,
     drift,
@@ -36,7 +37,7 @@ def test_drift_test_vector():
     op = OperatorSpec(n_modes=16, grid_size=512)
     a = np.zeros(16)
     a[0] = 1.0
-    b = drift(a, CUBIC, op)
+    b, _ = drift(a, CUBIC, op)
     expected = np.zeros(16)
     expected[0] = -3.0 * np.pi**2 / 2.0
     expected[2] = 9.0 * np.pi**2 / 2.0
@@ -47,9 +48,9 @@ def test_explicit_linear_step():
     op = OperatorSpec(n_modes=4, grid_size=64)
     a = np.zeros(4)
     a[0] = 1.0
-    state = step(GalerkinState(t=0.0, coeffs=a), 0.001, 0.0, "explicit_em", LINEAR, op)
-    assert state.coeffs[0] == pytest.approx(1.0 - np.pi**2 * 0.001, rel=1e-12)
-    assert state.t == pytest.approx(0.001)
+    new, unstable = step(a, 0.001, 0.0, "explicit_em", LINEAR, op)
+    assert new[0] == pytest.approx(1.0 - np.pi**2 * 0.001, rel=1e-12)
+    assert unstable  # dt = 1e-3 exceeds the guard 0.1 / (lambda_4 * (1 + 1))
 
 
 def test_tamed_vs_explicit_second_order_agreement():
@@ -59,9 +60,9 @@ def test_tamed_vs_explicit_second_order_agreement():
     a[0] = 1.0
     diffs = []
     for dt in (1e-3, 5e-4):
-        ex = step(GalerkinState(0.0, a.copy()), dt, 0.0, "explicit_em", LINEAR, op)
-        tm = step(GalerkinState(0.0, a.copy()), dt, 0.0, "tamed_em", LINEAR, op)
-        diffs.append(np.max(np.abs(ex.coeffs - tm.coeffs)))
+        ex, _ = step(a.copy(), dt, 0.0, "explicit_em", LINEAR, op)
+        tm, _ = step(a.copy(), dt, 0.0, "tamed_em", LINEAR, op)
+        diffs.append(np.max(np.abs(ex - tm)))
     assert diffs[0] < 1e-3
     assert diffs[0] / diffs[1] == pytest.approx(4.0, rel=0.1)
 
@@ -116,6 +117,19 @@ def test_explicit_blow_up_flagged():
     assert np.isnan(rec.h_norms[-1])
 
 
+def test_coupled_explicit_guard_matches_single_run():
+    # the pair stops at the same guard violation as the single trajectory
+    cfg = make_config(scheme="explicit_em", dt=5e-3, t_end=0.05,
+                      initial_scale=5.0, gate_override=True)
+    single = simulate(cfg)
+    x0 = initial_coeffs(cfg)
+    rx, ry, dist = coupled_simulate(cfg, initial_x=x0, initial_y=-x0)
+    assert single.blow_up_reason == "stability guard violated"
+    assert rx.blow_up_reason == ry.blow_up_reason == single.blow_up_reason
+    assert rx.blow_up_time == single.blow_up_time == pytest.approx(5e-3)
+    assert np.isfinite(dist[0]) and np.all(np.isnan(dist[1:]))
+
+
 def test_batch_matches_single_runs():
     nz = NoiseSpec(profile="diagonal_power", c=0.2, a=1.0, master_seed=9)
     cfg = make_config(noise=nz, t_end=0.05, record_every=100, gate_override=True)
@@ -155,10 +169,17 @@ def test_coupled_distance_monotone_and_bounded():
     assert dist[-1] <= contraction_bound(2.0 / np.pi, 0.1, p) * 1.1
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         make_config(dt=0.2)  # dt > t_end
     with pytest.raises(ValueError):
         make_config(scheme="heun")
     with pytest.raises(ValueError):
         make_config(operator=OperatorSpec(n_modes=16, grid_size=64))  # aliasing
+    # library-only kinds are config errors (exit 1), not tracebacks
+    for line in ("model.phi = custom", "noise.profile = full_matrix"):
+        with pytest.raises(ConfigError):
+            parse_config(line + "\n")
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
