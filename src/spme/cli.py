@@ -1,7 +1,8 @@
 """Command-line orchestration: verify / simulate / couple / ergodic / report.
 
-Exit codes: 0 success, 2 hypothesis-gate failure, 3 bound violation
-beyond tolerance, 4 blow-up.  All artifacts are deterministic given
+Exit codes: 0 success, 1 config error, 2 hypothesis-gate failure (with a
+`<command>_meta.json` naming the reason), 3 bound violation beyond
+tolerance, 4 blow-up.  All artifacts are deterministic given
 (config, seed): floats are printed with 17 significant digits and no
 timestamps are emitted.
 """
@@ -22,6 +23,7 @@ from . import noise as noise_mod
 from . import solver as solver_mod
 
 EXIT_OK = 0
+EXIT_CONFIG = 1
 EXIT_GATE = 2
 EXIT_BOUND = 3
 EXIT_BLOWUP = 4
@@ -39,27 +41,32 @@ def _write(path, text):
     path.write_text(text)
 
 
+def _write_meta(out, command, meta):
+    _write(out / f"{command}_meta.json", json.dumps(meta, sort_keys=True, indent=1) + "\n")
+
+
 def _load(args):
+    """Parse the config, apply --seed and build the run: (cfg, sim, out)."""
     cfg = config_mod.parse_config(Path(args.config).read_text())
     if args.seed is not None:
         cfg = cfg.with_value("noise.seed", args.seed)
+    sim = config_mod.build_sim(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return cfg, out
+    return cfg, sim, out
 
 
-def _certify(cfg):
-    op = config_mod.build_operator(cfg)
-    mdl = config_mod.build_model(cfg)
-    nspec = config_mod.build_noise(cfg)
-    trace = noise_mod.trace(nspec, op)
-    constants, verdict = model_mod.certify_constants(mdl, op.eigenvalue(1), trace)
-    return op, mdl, nspec, trace, constants, verdict
+def _certify(sim):
+    trace = noise_mod.trace(sim.noise, sim.operator)
+    constants, verdict = model_mod.certify_constants(
+        sim.model, sim.operator.eigenvalue(1), trace
+    )
+    return trace, constants, verdict
 
 
 def cmd_verify(args):
-    cfg, out = _load(args)
-    _, _, _, trace, k, verdict = _certify(cfg)
+    cfg, sim, out = _load(args)
+    trace, k, verdict = _certify(sim)
     gate = "pass" if verdict.passed else "fail"
     rows = [
         "eta,sigma,theta,delta,kappa,c,c1,c2,trace_q,gate",
@@ -69,13 +76,12 @@ def cmd_verify(args):
         ),
     ]
     _write(out / "verify.csv", "\n".join(rows) + "\n")
-    meta = {
+    _write_meta(out, "verify", {
         "gate": gate,
         "exponential_regime": verdict.exponential_regime,
         "reasons": list(verdict.reasons),
         "defaults_applied": list(cfg.applied_defaults),
-    }
-    _write(out / "verify_meta.json", json.dumps(meta, sort_keys=True, indent=1) + "\n")
+    })
     return EXIT_OK if verdict.passed else EXIT_GATE
 
 
@@ -95,44 +101,31 @@ def _write_trajectory_csv(path, record):
 
 
 def cmd_simulate(args):
-    cfg, out = _load(args)
-    sim = config_mod.build_sim(cfg)
-    try:
-        record = solver_mod.simulate(sim)
-    except model_mod.AssumptionError as exc:
-        _write(out / "simulate_meta.json",
-               json.dumps({"gate": "fail", "error": str(exc)}, sort_keys=True) + "\n")
-        return EXIT_GATE
+    cfg, sim, out = _load(args)
+    record = solver_mod.simulate(sim)
     _write_trajectory_csv(out / "simulate.csv", record)
-    meta = {
+    _write_meta(out, "simulate", {
         "blown_up": record.blown_up,
         "blow_up_time": None if record.blow_up_time is None else _f(record.blow_up_time),
         "blow_up_reason": record.blow_up_reason,
         "scheme": record.scheme,
         "defaults_applied": list(cfg.applied_defaults),
-    }
-    _write(out / "simulate_meta.json", json.dumps(meta, sort_keys=True, indent=1) + "\n")
+    })
     return EXIT_BLOWUP if record.blown_up else EXIT_OK
 
 
 def cmd_couple(args):
-    cfg, out = _load(args)
-    op, mdl, nspec, trace, k, verdict = _certify(cfg)
-    sim = config_mod.build_sim(cfg)
-    if not verdict.passed and not sim.gate_override:
-        return EXIT_GATE
-    ix = (cfg["sim.initial"], cfg["sim.initial_scale"])
-    iy = (cfg["sim.initial_y"], cfg["sim.initial_y_scale"])
-    ax = solver_mod.initial_coeffs(sim, preset=ix[0], scale=ix[1])
-    ay = solver_mod.initial_coeffs(sim, preset=iy[0], scale=iy[1])
-    rec_x, rec_y, dist = solver_mod.coupled_simulate(
-        sim, initial_x=ax, initial_y=ay,
-        stream=None if nspec.is_zero else noise_mod.NoiseStream(nspec),
+    cfg, sim, out = _load(args)
+    _, k, _ = _certify(sim)
+    ax = solver_mod.initial_coeffs(sim)
+    ay = solver_mod.initial_coeffs(
+        sim, preset=cfg["sim.initial_y"], scale=cfg["sim.initial_y_scale"]
     )
-    z0 = float(op.h_norm(ax - ay))
+    rec_x, _, dist = solver_mod.coupled_simulate(sim, initial_x=ax, initial_y=ay)
+    z0 = float(sim.operator.h_norm(ax - ay))
     params = bounds_mod.BoundParams(
-        r=mdl.r, eta=k.eta, theta=k.theta, sigma=k.sigma, delta=k.delta,
-        lambda_1=op.eigenvalue(1),
+        r=sim.model.r, eta=k.eta, theta=k.theta, sigma=k.sigma, delta=k.delta,
+        lambda_1=sim.operator.eigenvalue(1),
     )
     bound_poly = bounds_mod.contraction_bound(z0, rec_x.times, params)
     exponential = k.sigma > k.delta
@@ -152,25 +145,21 @@ def cmd_couple(args):
         if dist[i] > BOUND_SLACK * limit + 1e-12:
             violated = True
     _write(out / "couple.csv", "\n".join(lines) + "\n")
-    meta = {
+    _write_meta(out, "couple", {
         "z0": _f(z0),
         "bound_violated": violated,
         "blown_up": rec_x.blown_up,
         "exponential_regime": exponential,
         "defaults_applied": list(cfg.applied_defaults),
-    }
-    _write(out / "couple_meta.json", json.dumps(meta, sort_keys=True, indent=1) + "\n")
+    })
     if rec_x.blown_up:
         return EXIT_BLOWUP
     return EXIT_BOUND if violated else EXIT_OK
 
 
 def cmd_ergodic(args):
-    cfg, out = _load(args)
-    op, mdl, nspec, trace, k, verdict = _certify(cfg)
-    sim = config_mod.build_sim(cfg)
-    if not verdict.passed and not sim.gate_override:
-        return EXIT_GATE
+    cfg, sim, out = _load(args)
+    _, _, verdict = _certify(sim)
     sample_times = cfg["ensemble.sample_times"] or config_mod.default_sample_times(cfg)
     initials = tuple(config_mod.parse_initial(s) for s in cfg["ensemble.initials"])
     ens = ergodic_mod.EnsembleConfig(
@@ -196,7 +185,7 @@ def cmd_ergodic(args):
                 )
     _write(out / "ergodic.csv", "\n".join(lines) + "\n")
     mom_mean, mom_se, _ = report.moment_estimate
-    meta = {
+    _write_meta(out, "ergodic", {
         "fit_kind": report.fit_kind,
         "fit_rate": _f(report.fit.rate),
         "fit_intercept": _f(report.fit.intercept),
@@ -210,10 +199,9 @@ def cmd_ergodic(args):
             name: [_f(g), _f(s)]
             for name, (g, s) in sorted(report.uniqueness_diagnostic.items())
         },
-        "excluded": {k_: int(v) for k_, v in sorted(samples.excluded.items())},
+        "excluded": {k: int(v) for k, v in sorted(samples.excluded.items())},
         "defaults_applied": list(cfg.applied_defaults),
-    }
-    _write(out / "ergodic_meta.json", json.dumps(meta, sort_keys=True, indent=1) + "\n")
+    })
     return EXIT_OK
 
 
@@ -278,10 +266,16 @@ def main(argv=None):
         return args.fn(args)
     except config_mod.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_CONFIG
     except model_mod.AssumptionError as exc:
+        # a failed gate (raised in solver._check_gate) or an uncertifiable model
         print(f"hypothesis gate: {exc}", file=sys.stderr)
+        _write(Path(args.out) / f"{args.command}_meta.json",
+               json.dumps({"gate": "fail", "error": str(exc)}, sort_keys=True) + "\n")
         return EXIT_GATE
+    except solver_mod.BlowUpError as exc:
+        print(f"blow-up: {exc}", file=sys.stderr)
+        return EXIT_BLOWUP
 
 
 if __name__ == "__main__":

@@ -10,9 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import OperatorSpec
+from .ergodic import BUILTIN_FUNCTIONALS
 from .model import PHI_KINDS, PSI_KINDS, Nonlinearity
 from .noise import PROFILES, NoiseSpec
-from .solver import INITIAL_PRESETS, SCHEMES, SimConfig
+from .solver import INITIAL_PRESETS, SCHEMES, SimConfig, whole_steps
 
 
 class ConfigError(ValueError):
@@ -35,6 +36,13 @@ def _parse_float_list(s):
 
 def _parse_str_list(s):
     return tuple(x.strip() for x in s.split(",") if x.strip())
+
+
+def _parse_initials(s):
+    labels = _parse_str_list(s)
+    for label in labels:
+        parse_initial(label)
+    return labels
 
 
 def _fmt(value):
@@ -80,7 +88,9 @@ SCHEMA = {
     "noise.profile": _choice("zero", _CONFIG_PROFILES, "unknown noise profile"),
     "noise.c": _Key(float, 0.0, lambda v: v >= 0, "must be nonnegative"),
     "noise.a": _Key(float, 0.0, lambda v: v >= 0, "must be nonnegative"),
-    "noise.q": _Key(_parse_float_list, ()),
+    "noise.q": _Key(
+        _parse_float_list, (), lambda v: np.all(np.isfinite(v)), "must be finite"
+    ),
     "noise.seed": _Key(int, 0, lambda v: 0 <= v < 2**64, "must fit in 64 bits"),
     "sim.dt": _Key(float, 1e-4, lambda v: v > 0, "must be positive"),
     "sim.t_end": _Key(float, 1.0, lambda v: v > 0, "must be positive"),
@@ -93,15 +103,23 @@ SCHEMA = {
     "sim.gate_override": _Key(_parse_bool, False),
     "ensemble.n_traj": _Key(int, 100, lambda v: v >= 2, "need at least 2"),
     "ensemble.burn_in": _Key(float, 1.0, lambda v: v >= 0, "must be nonnegative"),
-    "ensemble.sample_times": _Key(_parse_float_list, ()),
+    "ensemble.sample_times": _Key(
+        _parse_float_list, (), lambda v: np.all(np.diff(v) > 0), "must be increasing"
+    ),
     "ensemble.fit_window": _Key(
         _parse_float_list,
         (),
         lambda v: len(v) in (0, 2) and (len(v) < 2 or 0 < v[0] < v[1]),
         "need two increasing positive times",
     ),
-    "ensemble.initials": _Key(_parse_str_list, ("zero", "e1")),
-    "ensemble.functionals": _Key(_parse_str_list, ("tanh_h_norm",)),
+    "ensemble.initials": _Key(
+        _parse_initials, ("zero", "e1"), lambda v: len(v) >= 2, "need at least two"
+    ),
+    "ensemble.functionals": _Key(
+        _parse_str_list, ("tanh_h_norm",),
+        lambda v: len(v) > 0 and set(v) <= set(BUILTIN_FUNCTIONALS),
+        "need one or more known functionals",
+    ),
 }
 
 
@@ -153,13 +171,35 @@ def parse_config(text):
     for key, spec in SCHEMA.items():
         if key in raw:
             spec.validate(key, values[key], errors)
-    if not errors and values["sim.dt"] > values["sim.t_end"]:
-        errors.append("sim.dt: must not exceed sim.t_end")
+    if not errors:
+        errors = _cross_key_errors(values)
     if errors:
         raise ConfigError(errors)
     return RunConfig(
         values=tuple(sorted(values.items())), applied_defaults=tuple(sorted(defaults))
     )
+
+
+def _cross_key_errors(v):
+    """Checks that span keys; meaningful only once each key is valid alone."""
+    errors = []
+    n, grid, r = v["operator.n_modes"], v["operator.grid_size"], v["model.r"]
+    if grid < n:
+        errors.append("operator.grid_size: must be at least operator.n_modes")
+    elif not OperatorSpec(n_modes=n, grid_size=grid).dealiasing_ok(r):
+        errors.append(
+            f"operator.grid_size: too coarse for model.r, need at least {2 * (r + 1) * n:g}"
+        )
+    if v["model.psi"] == "odd_power" and v["model.alpha"] != 0.0:
+        errors.append("model.alpha: odd_power takes no linear coefficient")
+    dt, t_end = v["sim.dt"], v["sim.t_end"]
+    if dt > t_end:
+        errors.append("sim.dt: must not exceed sim.t_end")
+    elif not whole_steps(t_end, dt):
+        errors.append("sim.t_end: must be a whole number of sim.dt steps")
+    if any(not 0 < t <= t_end for t in v["ensemble.sample_times"]):
+        errors.append("ensemble.sample_times: must lie in (0, sim.t_end]")
+    return errors
 
 
 def serialize_config(config):
@@ -170,10 +210,11 @@ def serialize_config(config):
 
 def parse_initial(label):
     """Parse an initial-data label like 'e1', 'zero' or '10*e1'."""
-    if "*" in label:
-        scale, _, preset = label.partition("*")
-        return preset.strip(), float(scale)
-    return label, 1.0
+    scale, star, preset = label.rpartition("*")
+    preset = preset.strip()
+    if preset not in INITIAL_PRESETS:
+        raise ValueError(f"unknown preset in {label!r}")
+    return preset, float(scale) if star else 1.0
 
 
 def build_operator(config):
@@ -183,11 +224,10 @@ def build_operator(config):
 
 
 def build_model(config):
-    kind = config["model.psi"]
     return Nonlinearity(
         r=config["model.r"],
-        psi_kind=kind,
-        alpha=config["model.alpha"] if kind == "linear_plus_odd_power" else 0.0,
+        psi_kind=config["model.psi"],
+        alpha=config["model.alpha"],
         gamma=config["model.gamma"],
         phi_kind=config["model.phi"],
         beta=config["model.beta"],

@@ -8,64 +8,24 @@ moment of |X|^(r+1) is estimated from post-burn-in samples.
 """
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
 from . import noise as noise_mod
 from .bounds import fit_exp_rate, fit_power_law
-from .solver import SimConfig, initial_coeffs, run_batch
+from .solver import BlowUpError, SimConfig, initial_coeffs, run_batch
 
 
-@dataclass(frozen=True)
-class Functional:
-    """Lipschitz test functional on H with a declared constant."""
-
-    name: str
-    lipschitz: float
-
-    def __call__(self, coeffs, operator):
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class HNormFunctional(Functional):
-    name: str = "h_norm"
-    lipschitz: float = 1.0
-
-    def __call__(self, coeffs, operator):
-        return operator.h_norm(coeffs)
-
-
-@dataclass(frozen=True)
-class TanhHNormFunctional(Functional):
-    name: str = "tanh_h_norm"
-    lipschitz: float = 1.0
-
-    def __call__(self, coeffs, operator):
-        return np.tanh(operator.h_norm(coeffs))
-
-
-@dataclass(frozen=True)
-class ClippedCoordFunctional(Functional):
-    """First H-coordinate x -> min(<x,e1>_H * sqrt(lambda_1), M).
-
-    The scaling makes the map 1-Lipschitz in the H-norm; the clip keeps
-    the constant honest on all of H.
-    """
-
-    name: str = "coord_1"
-    lipschitz: float = 1.0
-    clip: float = 1e6
-
-    def __call__(self, coeffs, operator):
-        lam1 = operator.eigenvalues[0]
-        return np.minimum(coeffs[..., 0] / np.sqrt(lam1), self.clip)
-
-
+# Test functionals F(coeffs, operator) on H.  Each is 1-Lipschitz in the
+# H-norm: |a_1| / sqrt(lambda_1) <= ||x||_H, and tanh and the clip at 1e6
+# (which keeps coord_1 bounded on all of H) are contractions.
 BUILTIN_FUNCTIONALS = {
-    "h_norm": HNormFunctional(),
-    "tanh_h_norm": TanhHNormFunctional(),
-    "coord_1": ClippedCoordFunctional(),
+    "h_norm": lambda coeffs, op: op.h_norm(coeffs),
+    "tanh_h_norm": lambda coeffs, op: np.tanh(op.h_norm(coeffs)),
+    "coord_1": lambda coeffs, op: np.minimum(
+        coeffs[..., 0] / np.sqrt(op.eigenvalues[0]), 1e6
+    ),
 }
 
 
@@ -84,6 +44,8 @@ class EnsembleConfig:
         st = np.asarray(self.sample_times, dtype=float)
         if len(st) == 0 or np.any(np.diff(st) <= 0):
             raise ValueError("sample_times must be increasing and nonempty")
+        if st[0] <= 0 or st[-1] > self.base.t_end:
+            raise ValueError("sample_times must lie in (0, t_end]")
         for name in self.functionals:
             if name not in BUILTIN_FUNCTIONALS:
                 raise ValueError(f"unknown functional {name!r}")
@@ -98,7 +60,6 @@ class EnsembleSamples:
     func_values: dict
     # lrp1[initial_label] has shape (n_traj, n_times): |X|^(r+1) mass
     lrp1: dict
-    h_sq: dict
     final_coeffs: dict
     excluded: dict
     functionals: tuple
@@ -133,9 +94,9 @@ def run_ensemble(config):
     op = base.operator
     funcs = [BUILTIN_FUNCTIONALS[name] for name in config.functionals]
     sample_times = np.asarray(config.sample_times, dtype=float)
-    snap = tuple(float(t) for t in sample_times)
+    cfg = replace(base, snapshot_times=tuple(float(t) for t in sample_times))
 
-    func_values, lrp1, h_sq, finals, excluded = {}, {}, {}, {}, {}
+    func_values, lrp1, finals, excluded = {}, {}, {}, {}
     for preset, scale in config.initial_set:
         label = _initial_label(preset, scale)
         a0 = np.tile(
@@ -146,11 +107,10 @@ def run_ensemble(config):
             streams = [
                 noise_mod.NoiseStream(base.noise, j) for j in range(config.n_traj)
             ]
-        cfg = replace(base, initial=preset, initial_scale=scale, snapshot_times=snap)
         rec = run_batch(cfg, streams, a0)
         n_excl = int(np.sum(rec.blown))
         if n_excl / config.n_traj > 0.01:
-            raise RuntimeError(
+            raise BlowUpError(
                 f"{n_excl}/{config.n_traj} trajectories blew up for initial {label}"
             )
         live = ~rec.blown
@@ -161,7 +121,6 @@ def run_ensemble(config):
         func_values[label] = fv
         # sample-time observables from the snapshots themselves
         lrp1[label] = op.lp_power(op.synth(snaps), base.model.r + 1.0).T
-        h_sq[label] = (op.h_norm(snaps) ** 2).T
         finals[label] = rec.final_coeffs[live]
         excluded[label] = n_excl
 
@@ -169,7 +128,6 @@ def run_ensemble(config):
         sample_times=sample_times,
         func_values=func_values,
         lrp1=lrp1,
-        h_sq=h_sq,
         final_coeffs=finals,
         excluded=excluded,
         functionals=tuple(config.functionals),
@@ -181,24 +139,29 @@ def _mean_se(x, axis=0):
     return np.mean(x, axis=axis), np.std(x, axis=axis, ddof=1) / np.sqrt(n)
 
 
-def estimate_invariant(samples, burn_in):
-    """Per-functional invariant-measure estimates from post-burn-in samples.
+def _post_burn_in_mean_se(series, sample_times, burn_in):
+    """Mean and standard error of per-trajectory post-burn-in time averages.
 
-    Each trajectory contributes its post-burn-in time average; the
-    trajectory averages are iid, giving an honest standard error.
+    `series` holds one (n_traj, n_times) array per initial preset; the
+    trajectories are pooled.  Each contributes its time average after
+    burn_in, and those averages are iid, giving an honest standard error.
     """
-    mask = samples.sample_times > burn_in
+    mask = sample_times > burn_in
     if not np.any(mask):
         raise ValueError("no sample times beyond burn_in")
-    out = {}
-    for fi, name in enumerate(samples.functionals):
-        per_traj = []
-        for label, fv in samples.func_values.items():
-            per_traj.append(np.mean(fv[:, mask, fi], axis=1))
-        pooled = np.concatenate(per_traj)
-        mean, se = _mean_se(pooled)
-        out[name] = (float(mean), float(se))
-    return out
+    mean, se = _mean_se(np.concatenate([np.mean(x[:, mask], axis=1) for x in series]))
+    return float(mean), float(se)
+
+
+def estimate_invariant(samples, burn_in):
+    """Per-functional invariant-measure estimates (mean, std_err)."""
+    return {
+        name: _post_burn_in_mean_se(
+            [fv[:, :, fi] for fv in samples.func_values.values()],
+            samples.sample_times, burn_in,
+        )
+        for fi, name in enumerate(samples.functionals)
+    }
 
 
 def moment_check(samples, burn_in, doubled_samples=None):
@@ -207,23 +170,15 @@ def moment_check(samples, burn_in, doubled_samples=None):
     Returns (estimate, standard error, stability flag); the flag needs a
     second run at doubled mode count and is None without one.
     """
-    mask = samples.sample_times > burn_in
-    if not np.any(mask):
-        raise ValueError("no sample times beyond burn_in")
-
-    def estimate(s):
-        per_traj = np.concatenate(
-            [np.mean(m[:, mask], axis=1) for m in s.lrp1.values()]
-        )
-        return _mean_se(per_traj)
-
-    mean, se = estimate(samples)
+    mean, se = _post_burn_in_mean_se(samples.lrp1.values(), samples.sample_times, burn_in)
     flag = None
     if doubled_samples is not None:
-        mean2, _ = estimate(doubled_samples)
+        mean2, _ = _post_burn_in_mean_se(
+            doubled_samples.lrp1.values(), doubled_samples.sample_times, burn_in
+        )
         denom = max(abs(mean), 1e-300)
         flag = bool(abs(mean2 - mean) / denom < 0.10)
-    return float(mean), float(se), flag
+    return mean, se, flag
 
 
 def mixing_experiment(config, exponential=False, fit_window=None):
@@ -244,22 +199,18 @@ def mixing_experiment(config, exponential=False, fit_window=None):
     for fi, name in enumerate(samples.functionals):
         mu, mu_se = _mean_se(samples.func_values[ref_label][:, -1, fi])
         mu_est[name] = (float(mu), float(mu_se))
-        gap_stack = []
-        ptf_finals = []
+        gaps, finals = [], []
         for label in labels:
             mean, se = _mean_se(samples.func_values[label][:, :, fi])
             ptf[(name, label)] = (mean, se)
             mixing_series[(name, label)] = np.abs(mean - mu)
-            gap_stack.append(np.abs(mean - mu))
-            ptf_finals.append((mean[-1], se[-1]))
-        mixing_gap[name] = np.max(gap_stack, axis=0)
+            gaps.append(mixing_series[(name, label)])
+            finals.append((mean[-1], se[-1]))
+        mixing_gap[name] = np.max(gaps, axis=0)
         worst, comb = 0.0, 0.0
-        for i in range(len(ptf_finals)):
-            for j in range(i + 1, len(ptf_finals)):
-                gap = abs(ptf_finals[i][0] - ptf_finals[j][0])
-                if gap > worst:
-                    worst = gap
-                    comb = np.hypot(ptf_finals[i][1], ptf_finals[j][1])
+        for (m1, s1), (m2, s2) in combinations(finals, 2):
+            if abs(m1 - m2) > worst:
+                worst, comb = abs(m1 - m2), np.hypot(s1, s2)
         uniq[name] = (float(worst), float(comb))
 
     gap = mixing_gap[samples.functionals[0]]

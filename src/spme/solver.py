@@ -45,6 +45,8 @@ class SimConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= 0 or self.dt > self.t_end:
             raise ValueError("need 0 < dt <= t_end")
+        if not whole_steps(self.t_end, self.dt):
+            raise ValueError("t_end must be a whole number of dt steps")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.record_every < 1:
@@ -56,6 +58,11 @@ class SimConfig:
             )
 
 
+def whole_steps(t_end, dt):
+    """True if t_end is a whole number of dt steps, to a relative 1e-9."""
+    return abs(round(t_end / dt) * dt - t_end) <= 1e-9 * t_end
+
+
 @dataclass
 class TrajectoryRecord:
     """Recorded norm series of a single trajectory."""
@@ -65,7 +72,6 @@ class TrajectoryRecord:
     l2_norms: np.ndarray
     lrp1_powers: np.ndarray
     scheme: str
-    stream_id: int
     snapshots: dict = field(default_factory=dict)
     final_coeffs: np.ndarray = None
     blown_up: bool = False
@@ -88,6 +94,10 @@ class BatchRecord:
     blown: np.ndarray = None  # (B,) bool
     blow_up_times: np.ndarray = None
     blow_up_reason: str = None
+
+
+class BlowUpError(RuntimeError):
+    """More trajectories of an ensemble blew up than its estimates can exclude."""
 
 
 def initial_coeffs(config, preset=None, scale=None):
@@ -259,10 +269,10 @@ def run_batch(config, streams, a0):
     )
 
 
-def simulate(config, stream=None):
+def simulate(config):
     """Integrate a single trajectory and record its norm series."""
     a0 = initial_coeffs(config)[None, :]
-    streams = None if config.noise.is_zero else [stream or noise_mod.NoiseStream(config.noise)]
+    streams = None if config.noise.is_zero else [noise_mod.NoiseStream(config.noise)]
     rec = run_batch(config, streams, a0)
     snapshots = {}
     if rec.snapshots is not None:
@@ -276,7 +286,6 @@ def simulate(config, stream=None):
         l2_norms=rec.l2_norms[:, 0],
         lrp1_powers=rec.lrp1_powers[:, 0],
         scheme=rec.scheme,
-        stream_id=getattr(stream, "stream_id", 0),
         snapshots=snapshots,
         final_coeffs=rec.final_coeffs[0],
         blown_up=bool(rec.blown[0]),
@@ -355,7 +364,6 @@ def coupled_simulate(config, initial_x, initial_y, stream=None):
             l2_norms=series["l2"][:, idx],
             lrp1_powers=series["lrp1"][:, idx],
             scheme=config.scheme,
-            stream_id=getattr(stream, "stream_id", 0),
             final_coeffs=a_final,
             blown_up=blown,
             blow_up_time=blow_time,

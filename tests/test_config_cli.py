@@ -180,3 +180,52 @@ def test_config_error_exit_1(tmp_path, capsys):
     cfg = write(tmp_path, "model.r = 0.5\n")
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "r must exceed 1" in capsys.readouterr().err
+
+
+GATE_FAIL = "model.phi = scaled_identity\nmodel.beta = 0.5\n"  # sigma = 0 < delta
+SMALL_ENSEMBLE = "ensemble.n_traj = 8\n"
+
+
+@pytest.mark.parametrize(
+    "command, extra, code, message",
+    [
+        # a failed gate stops every subcommand the same way
+        ("couple", GATE_FAIL, 2, "sigma = 0 below delta"),
+        ("ergodic", GATE_FAIL + SMALL_ENSEMBLE, 2, "sigma = 0 below delta"),
+        # more than 1% of an ensemble blowing up is a blow-up exit
+        ("ergodic",
+         "sim.scheme = explicit_em\nsim.dt = 0.005\nsim.gate_override = true\n"
+         "ensemble.initials = 8*e1,zero\n" + SMALL_ENSEMBLE,
+         4, "8/8 trajectories blew up"),
+        # config values that cannot give a meaningful run
+        ("simulate", "operator.grid_size = 4\n", 1, "at least operator.n_modes"),
+        ("verify", "operator.grid_size = 32\n", 1, "need at least 64"),
+        ("ergodic", "ensemble.initials = zero,bump\n", 1, "unknown preset in 'bump'"),
+        ("ergodic", "ensemble.initials = zero,x*e1\n", 1, "could not convert string"),
+        ("ergodic", "ensemble.initials = e1\n", 1, "ensemble.initials: need at least two"),
+        ("ergodic", "ensemble.functionals = l2\n", 1, "ensemble.functionals: need one or more"),
+        ("ergodic", "ensemble.functionals = \n", 1, "ensemble.functionals: need one or more"),
+        ("ergodic", "ensemble.sample_times = 0.2,0.1\n", 1, "must be increasing"),
+        ("verify", "model.alpha = 1.0\n", 1, "odd_power takes no linear coefficient"),
+        ("ergodic", "ensemble.sample_times = 0.1,0.5\n", 1, "must lie in (0, sim.t_end]"),
+        ("simulate", "sim.dt = 0.3\nsim.t_end = 0.5\n", 1, "whole number of sim.dt steps"),
+        ("simulate", "noise.profile = explicit_diagonal\nnoise.q = 0.1,nan\n", 1,
+         "noise.q: must be finite"),
+    ],
+    ids=[
+        "couple-gate", "ergodic-gate", "ergodic-blow-up", "grid-below-modes",
+        "grid-aliased", "unknown-initial", "bad-initial-scale", "one-initial",
+        "unknown-functional", "no-functional", "unordered-sample-times",
+        "alpha-with-odd-power", "sample-time-past-t-end", "horizon-drift",
+        "non-finite-q",
+    ],
+)
+def test_failure_exit_codes(tmp_path, capsys, command, extra, code, message):
+    cfg = write(tmp_path, BASE + extra)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    if code == 2:
+        meta = json.loads((out / f"{command}_meta.json").read_text())
+        assert meta["gate"] == "fail" and message in meta["error"]

@@ -173,6 +173,9 @@ def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         make_config(dt=0.2)  # dt > t_end
     with pytest.raises(ValueError):
+        make_config(dt=0.3, t_end=0.5)  # would integrate to t = 0.6
+    make_config(dt=0.1, t_end=0.3)  # 0.3 / 0.1 = 2.9999999999999996 rounds to 3 steps
+    with pytest.raises(ValueError):
         make_config(scheme="heun")
     with pytest.raises(ValueError):
         make_config(operator=OperatorSpec(n_modes=16, grid_size=64))  # aliasing
