@@ -173,31 +173,26 @@ def _window_select(times, values, window):
     return t, v
 
 
-def fit_power_law(times, values, window):
-    """Least-squares slope of log v against log t inside the window."""
-    t, v = _window_select(times, values, window)
-    x, y = np.log(t), np.log(v)
-    coef, res = np.polyfit(x, y, 1), None
+def _fit_line(x, y, window):
+    """Least-squares line y ~ rate * x + intercept, with its RMS residual."""
+    coef = np.polyfit(x, y, 1)
     resid = y - np.polyval(coef, x)
     return RateFit(
         rate=float(coef[0]),
         intercept=float(coef[1]),
         residual=float(np.sqrt(np.mean(resid**2))),
         window=(float(window[0]), float(window[1])),
-        n_points=len(t),
+        n_points=len(x),
     )
+
+
+def fit_power_law(times, values, window):
+    """Least-squares slope of log v against log t inside the window."""
+    t, v = _window_select(times, values, window)
+    return _fit_line(np.log(t), np.log(v), window)
 
 
 def fit_exp_rate(times, values, window):
     """Least-squares slope of log v against t inside the window."""
     t, v = _window_select(times, values, window)
-    y = np.log(v)
-    coef = np.polyfit(t, y, 1)
-    resid = y - np.polyval(coef, t)
-    return RateFit(
-        rate=float(coef[0]),
-        intercept=float(coef[1]),
-        residual=float(np.sqrt(np.mean(resid**2))),
-        window=(float(window[0]), float(window[1])),
-        n_points=len(t),
-    )
+    return _fit_line(t, np.log(v), window)

@@ -162,14 +162,19 @@ def cmd_ergodic(args):
     _, _, verdict = _certify(sim)
     sample_times = cfg["ensemble.sample_times"] or config_mod.default_sample_times(cfg)
     initials = tuple(config_mod.parse_initial(s) for s in cfg["ensemble.initials"])
-    ens = ergodic_mod.EnsembleConfig(
-        base=sim,
-        n_traj=cfg["ensemble.n_traj"],
-        burn_in=cfg["ensemble.burn_in"],
-        sample_times=sample_times,
-        initial_set=initials,
-        functionals=cfg["ensemble.functionals"],
-    )
+    try:
+        ens = ergodic_mod.EnsembleConfig(
+            base=sim,
+            n_traj=cfg["ensemble.n_traj"],
+            burn_in=cfg["ensemble.burn_in"],
+            sample_times=sample_times,
+            initial_set=initials,
+            functionals=cfg["ensemble.functionals"],
+        )
+    except ValueError as exc:
+        # EnsembleConfig checks the sample times, default ones included,
+        # against the horizon and the dt grid
+        raise config_mod.ConfigError([str(exc)]) from exc
     window = cfg["ensemble.fit_window"] or None
     report, samples = ergodic_mod.mixing_experiment(
         ens, exponential=verdict.exponential_regime, fit_window=window

@@ -7,7 +7,7 @@ sigma - delta in the strictly monotone regime).  The invariant-measure
 moment of |X|^(r+1) is estimated from post-burn-in samples.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -46,6 +46,13 @@ class EnsembleConfig:
             raise ValueError("sample_times must be increasing and nonempty")
         if st[0] <= 0 or st[-1] > self.base.t_end:
             raise ValueError("sample_times must lie in (0, t_end]")
+        # run_batch keeps one snapshot per step, at round(t / dt)
+        dt = self.base.dt
+        for t0, t1 in zip(st, st[1:]):
+            if round(t0 / dt) == round(t1 / dt):
+                raise ValueError(
+                    f"sample times {t0:g} and {t1:g} round to the same dt step"
+                )
         for name in self.functionals:
             if name not in BUILTIN_FUNCTIONALS:
                 raise ValueError(f"unknown functional {name!r}")
@@ -94,7 +101,6 @@ def run_ensemble(config):
     op = base.operator
     funcs = [BUILTIN_FUNCTIONALS[name] for name in config.functionals]
     sample_times = np.asarray(config.sample_times, dtype=float)
-    cfg = replace(base, snapshot_times=tuple(float(t) for t in sample_times))
 
     func_values, lrp1, finals, excluded = {}, {}, {}, {}
     for preset, scale in config.initial_set:
@@ -107,7 +113,7 @@ def run_ensemble(config):
             streams = [
                 noise_mod.NoiseStream(base.noise, j) for j in range(config.n_traj)
             ]
-        rec = run_batch(cfg, streams, a0)
+        rec = run_batch(base, streams, a0, snapshot_times=sample_times)
         n_excl = int(np.sum(rec.blown))
         if n_excl / config.n_traj > 0.01:
             raise BlowUpError(

@@ -13,7 +13,7 @@ stability guard.  A batch axis over independent trajectories is
 supported throughout, with per-trajectory noise streams.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class SimConfig:
     initial: object = "e1"
     initial_scale: float = 1.0
     gate_override: bool = False
-    snapshot_times: tuple = ()
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= 0 or self.dt > self.t_end:
@@ -72,7 +71,6 @@ class TrajectoryRecord:
     l2_norms: np.ndarray
     lrp1_powers: np.ndarray
     scheme: str
-    snapshots: dict = field(default_factory=dict)
     final_coeffs: np.ndarray = None
     blown_up: bool = False
     blow_up_time: float = None
@@ -81,19 +79,69 @@ class TrajectoryRecord:
 
 @dataclass
 class BatchRecord:
-    """Recorded series of a batch of independent trajectories (T, B)."""
+    """Recorded series of a batch of trajectories (T, B).
+
+    The integrators fill it in place: `record` at each record step and
+    `blow_up` when rows leave the run.  `row(i)` is trajectory i's record.
+    """
 
     times: np.ndarray
     h_norms: np.ndarray
     l2_norms: np.ndarray
     lrp1_powers: np.ndarray
     scheme: str
-    snapshots: np.ndarray = None  # (S, B, n) coeffs at snapshot times
-    snapshot_times: np.ndarray = None
+    blown: np.ndarray  # (B,) bool
+    blow_up_times: np.ndarray  # (B,), NaN while live
+    blow_up_reasons: np.ndarray  # (B,) object, None while live
     final_coeffs: np.ndarray = None
-    blown: np.ndarray = None  # (B,) bool
-    blow_up_times: np.ndarray = None
-    blow_up_reason: str = None
+    snapshots: np.ndarray = None  # (S, B, n) coeffs at snapshot_times
+    snapshot_times: np.ndarray = None
+
+    @classmethod
+    def empty(cls, config, slots, B):
+        """All-NaN series with one row per record step in `slots`."""
+        series = [np.full((len(slots), B), np.nan) for _ in range(3)]
+        return cls(np.array(list(slots)) * config.dt, *series, config.scheme,
+                   blown=np.zeros(B, dtype=bool), blow_up_times=np.full(B, np.nan),
+                   blow_up_reasons=np.full(B, None, dtype=object))
+
+    def record(self, slot, a, operator, r):
+        """Fill one slot of the series from the rows of `a` not yet blown up."""
+        live = ~self.blown
+        if not np.any(live):
+            return
+        x = a[live]
+        vals = operator.synth(x)
+        self.h_norms[slot, live] = operator.h_norm(x)
+        self.l2_norms[slot, live] = operator.l2_norm_spectral(x)
+        self.lrp1_powers[slot, live] = operator.lp_power(vals, r + 1.0)
+
+    def blow_up(self, a, rows, t, reason):
+        """Flag the live rows among `rows` (a bool mask) as blown up at time t.
+
+        Their coefficients in the state `a` are frozen at NaN.
+        """
+        rows = rows & ~self.blown
+        if np.any(rows):
+            self.blown |= rows
+            self.blow_up_times[rows] = t
+            self.blow_up_reasons[rows] = reason
+            a[rows] = np.nan
+
+    def row(self, i):
+        """Trajectory i's record; its series are views into this batch's."""
+        blown = bool(self.blown[i])
+        return TrajectoryRecord(
+            times=self.times,
+            h_norms=self.h_norms[:, i],
+            l2_norms=self.l2_norms[:, i],
+            lrp1_powers=self.lrp1_powers[:, i],
+            scheme=self.scheme,
+            final_coeffs=self.final_coeffs[i],
+            blown_up=blown,
+            blow_up_time=float(self.blow_up_times[i]) if blown else None,
+            blow_up_reason=self.blow_up_reasons[i],
+        )
 
 
 class BlowUpError(RuntimeError):
@@ -173,60 +221,48 @@ def _check_gate(config):
         )
 
 
-def _record_steps(n_steps, record_every):
-    steps = list(range(0, n_steps + 1, record_every))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
-    return np.array(steps)
+def _schedule(config):
+    """Step count and the {step: slot} map of the record steps.
+
+    The record steps are 0, k, 2k, ... (k = record_every) and n_steps.
+    """
+    n_steps = int(round(config.t_end / config.dt))
+    steps = [*range(0, n_steps, config.record_every), n_steps]
+    return n_steps, {s: i for i, s in enumerate(steps)}
 
 
-def run_batch(config, streams, a0):
+def run_batch(config, streams, a0, snapshot_times=()):
     """Integrate a batch of trajectories with per-trajectory noise streams.
 
     a0 has shape (B, n_modes); streams is a length-B list (or None for
     zero noise).  Blown-up trajectories are frozen at NaN and flagged,
-    the rest continue.
+    the rest continue.  The coefficients at each of `snapshot_times`
+    (rounded to a step) are kept in the record's `snapshots`.
     """
     _check_gate(config)
     op, mdl, nspec = config.operator, config.model, config.noise
     dt = config.dt
     a = np.array(a0, dtype=float)
     B, n = a.shape
-    n_steps = int(round(config.t_end / dt))
-    rec_steps = _record_steps(n_steps, config.record_every)
-    rec_set = {int(s): i for i, s in enumerate(rec_steps)}
-    T = len(rec_steps)
-    h_norms = np.full((T, B), np.nan)
-    l2_norms = np.full((T, B), np.nan)
-    lrp1 = np.full((T, B), np.nan)
-    snap_steps = np.array(
-        [int(round(t / dt)) for t in config.snapshot_times], dtype=int
-    )
-    snap_set = {int(s): i for i, s in enumerate(snap_steps)}
-    snaps = np.full((len(snap_steps), B, n), np.nan) if len(snap_steps) else None
+    n_steps, slots = _schedule(config)
+    snap_steps = [int(round(t / dt)) for t in snapshot_times]
+    snap_slots = {s: i for i, s in enumerate(snap_steps)}
+    rec = BatchRecord.empty(config, slots, B)
+    rec.snapshots = np.full((len(snap_steps), B, n), np.nan)
+    rec.snapshot_times = np.array(snap_steps, dtype=int) * dt
 
-    blown = np.zeros(B, dtype=bool)
-    blow_times = np.full(B, np.nan)
-    blow_reason = None
-    quiet = nspec.is_zero
+    def observe(step_idx):
+        if step_idx in slots:
+            rec.record(slots[step_idx], a, op, mdl.r)
+        if step_idx in snap_slots:
+            live = ~rec.blown
+            rec.snapshots[snap_slots[step_idx]][live] = a[live]
 
-    def record(slot):
-        live = ~blown
-        if not np.any(live):
-            return
-        vals = op.synth(a[live])
-        h_norms[slot, live] = op.h_norm(a[live])
-        l2_norms[slot, live] = op.l2_norm_spectral(a[live])
-        lrp1[slot, live] = op.lp_power(vals, mdl.r + 1.0)
-
-    record(0)
-    if snaps is not None and 0 in snap_set:
-        snaps[snap_set[0]] = a
-
+    observe(0)
     step_idx = 0
     while step_idx < n_steps:
         count = min(_BLOCK, n_steps - step_idx)
-        if quiet:
+        if nspec.is_zero:
             dW = None
         else:
             dW = np.empty((B, count, n))
@@ -236,138 +272,71 @@ def run_batch(config, streams, a0):
             step_idx += 1
             inc = 0.0 if dW is None else dW[:, k, :]
             a, unstable = step(a, dt, inc, config.scheme, mdl, op)
+            t = step_idx * dt
             if unstable is not None:
-                bad = (~blown) & unstable
-                if np.any(bad):
-                    blown |= bad
-                    blow_times[bad] = step_idx * dt
-                    blow_reason = "stability guard violated"
-                    a[bad] = np.nan
-            bad = (~blown) & ~np.all(np.isfinite(a), axis=-1)
-            if np.any(bad):
-                blown |= bad
-                blow_times[bad] = step_idx * dt
-                blow_reason = blow_reason or "non-finite state"
-                a[bad] = np.nan
-            if step_idx in rec_set:
-                record(rec_set[step_idx])
-            if snaps is not None and step_idx in snap_set:
-                snaps[snap_set[step_idx]][~blown] = a[~blown]
+                rec.blow_up(a, unstable, t, "stability guard violated")
+            rec.blow_up(a, ~np.all(np.isfinite(a), axis=-1), t, "non-finite state")
+            observe(step_idx)
 
-    return BatchRecord(
-        times=rec_steps * dt,
-        h_norms=h_norms,
-        l2_norms=l2_norms,
-        lrp1_powers=lrp1,
-        scheme=config.scheme,
-        snapshots=snaps,
-        snapshot_times=snap_steps * dt if len(snap_steps) else None,
-        final_coeffs=a.copy(),
-        blown=blown,
-        blow_up_times=blow_times,
-        blow_up_reason=blow_reason,
-    )
+    rec.final_coeffs = a.copy()
+    return rec
 
 
 def simulate(config):
     """Integrate a single trajectory and record its norm series."""
     a0 = initial_coeffs(config)[None, :]
     streams = None if config.noise.is_zero else [noise_mod.NoiseStream(config.noise)]
-    rec = run_batch(config, streams, a0)
-    snapshots = {}
-    if rec.snapshots is not None:
-        snapshots = {
-            float(t): rec.snapshots[i, 0]
-            for i, t in enumerate(rec.snapshot_times)
-        }
-    return TrajectoryRecord(
-        times=rec.times,
-        h_norms=rec.h_norms[:, 0],
-        l2_norms=rec.l2_norms[:, 0],
-        lrp1_powers=rec.lrp1_powers[:, 0],
-        scheme=rec.scheme,
-        snapshots=snapshots,
-        final_coeffs=rec.final_coeffs[0],
-        blown_up=bool(rec.blown[0]),
-        blow_up_time=float(rec.blow_up_times[0]) if rec.blown[0] else None,
-        blow_up_reason=rec.blow_up_reason if rec.blown[0] else None,
-    )
+    return run_batch(config, streams, a0).row(0)
 
 
 def coupled_simulate(config, initial_x, initial_y, stream=None):
     """Two trajectories driven by the identical noise path.
 
+    initial_x and initial_y are coefficient vectors of length n_modes.
     Returns (record_x, record_y, h_distance_series).  The distance is
-    computed spectrally, which is exact in the truncated space.
+    computed spectrally, which is exact in the truncated space.  If either
+    trajectory blows up, both stop at that step.
     """
     _check_gate(config)
     op, mdl, nspec = config.operator, config.model, config.noise
     dt = config.dt
-    # explicit arrays and presets alike resolve at unit scale here: callers
-    # pass fully scaled initial data
-    ax = np.array(initial_coeffs(config, preset=initial_x, scale=1.0), dtype=float)
-    ay = np.array(initial_coeffs(config, preset=initial_y, scale=1.0), dtype=float)
+    a = np.array([initial_x, initial_y], dtype=float)
     n = op.n_modes
-    n_steps = int(round(config.t_end / dt))
-    rec_steps = _record_steps(n_steps, config.record_every)
-    rec_set = {int(s): i for i, s in enumerate(rec_steps)}
-    T = len(rec_steps)
-    series = {
-        name: np.full((T, 2), np.nan) for name in ("h", "l2", "lrp1")
-    }
-    dist = np.full(T, np.nan)
-    quiet = nspec.is_zero
-    if not quiet and stream is None:
+    n_steps, slots = _schedule(config)
+    rec = BatchRecord.empty(config, slots, 2)
+    dist = np.full(len(slots), np.nan)
+    if not nspec.is_zero and stream is None:
         stream = noise_mod.NoiseStream(nspec)
+    both = np.ones(2, dtype=bool)
 
-    blown = False
-    blow_time = None
-    blow_reason = None
+    def observe(step_idx):
+        if step_idx in slots:
+            rec.record(slots[step_idx], a, op, mdl.r)
+            dist[slots[step_idx]] = op.h_norm(a[0] - a[1])
 
-    def record(slot):
-        pair = np.stack([ax, ay])
-        vals = op.synth(pair)
-        series["h"][slot] = op.h_norm(pair)
-        series["l2"][slot] = op.l2_norm_spectral(pair)
-        series["lrp1"][slot] = op.lp_power(vals, mdl.r + 1.0)
-        dist[slot] = op.h_norm(ax - ay)
-
-    record(0)
+    observe(0)
     step_idx = 0
-    while step_idx < n_steps and not blown:
+    while step_idx < n_steps and not rec.blown[0]:
         count = min(_BLOCK, n_steps - step_idx)
         dW = (
             None
-            if quiet
+            if nspec.is_zero
             else noise_mod.sample_increment_block(nspec, n, dt, stream, count)
         )
         for k in range(count):
             step_idx += 1
             inc = 0.0 if dW is None else dW[k]
-            ax, ux = step(ax, dt, inc, config.scheme, mdl, op)
-            ay, uy = step(ay, dt, inc, config.scheme, mdl, op)
+            # one row at a time: couple.csv pins the rounding of the 0-d sup|Psi'|
+            a[0], ux = step(a[0], dt, inc, config.scheme, mdl, op)
+            a[1], uy = step(a[1], dt, inc, config.scheme, mdl, op)
+            t = step_idx * dt
             if ux or uy:
-                blow_reason = "stability guard violated"
-            elif not (np.all(np.isfinite(ax)) and np.all(np.isfinite(ay))):
-                blow_reason = "non-finite state"
-            if blow_reason:
-                blown = True
-                blow_time = step_idx * dt
+                rec.blow_up(a, both, t, "stability guard violated")
+            elif not np.all(np.isfinite(a)):
+                rec.blow_up(a, both, t, "non-finite state")
+            if rec.blown[0]:
                 break
-            if step_idx in rec_set:
-                record(rec_set[step_idx])
+            observe(step_idx)
 
-    def make(idx, a_final):
-        return TrajectoryRecord(
-            times=rec_steps * dt,
-            h_norms=series["h"][:, idx],
-            l2_norms=series["l2"][:, idx],
-            lrp1_powers=series["lrp1"][:, idx],
-            scheme=config.scheme,
-            final_coeffs=a_final,
-            blown_up=blown,
-            blow_up_time=blow_time,
-            blow_up_reason=blow_reason,
-        )
-
-    return make(0, ax), make(1, ay), dist
+    rec.final_coeffs = a.copy()
+    return rec.row(0), rec.row(1), dist

@@ -211,13 +211,18 @@ SMALL_ENSEMBLE = "ensemble.n_traj = 8\n"
         ("simulate", "sim.dt = 0.3\nsim.t_end = 0.5\n", 1, "whole number of sim.dt steps"),
         ("simulate", "noise.profile = explicit_diagonal\nnoise.q = 0.1,nan\n", 1,
          "noise.q: must be finite"),
+        # 0.0001 and 0.0002 both round to step 0 at sim.dt = 0.001
+        ("ergodic",
+         "ensemble.burn_in = 0.1\nensemble.sample_times = 0.0001,0.0002,"
+         + ",".join(f"{0.02 * k:g}" for k in range(1, 11)) + "\n" + SMALL_ENSEMBLE,
+         1, "sample times 0.0001 and 0.0002 round to the same dt step"),
     ],
     ids=[
         "couple-gate", "ergodic-gate", "ergodic-blow-up", "grid-below-modes",
         "grid-aliased", "unknown-initial", "bad-initial-scale", "one-initial",
         "unknown-functional", "no-functional", "unordered-sample-times",
         "alpha-with-odd-power", "sample-time-past-t-end", "horizon-drift",
-        "non-finite-q",
+        "non-finite-q", "colliding-sample-times",
     ],
 )
 def test_failure_exit_codes(tmp_path, capsys, command, extra, code, message):

@@ -140,5 +140,8 @@ def test_config_validation():
     for times in ((0.1, 0.6), (0.0, 0.1), (-0.1, 0.1)):
         with pytest.raises(ValueError):
             EnsembleConfig(base=cfg.base, n_traj=4, sample_times=times)
+    # two times on one dt step would leave the earlier snapshot unfilled
+    with pytest.raises(ValueError, match="0.1 and 0.1002 round to the same dt step"):
+        EnsembleConfig(base=cfg.base, n_traj=4, sample_times=(0.1, 0.1002, 0.5))
     # off-grid times inside the horizon stay allowed
     EnsembleConfig(base=cfg.base, n_traj=4, sample_times=(0.00012, 0.5))

@@ -144,13 +144,28 @@ def test_batch_matches_single_runs():
     assert not np.array_equal(batch.h_norms[:, 0], batch.h_norms[:, 1])
 
 
+def test_batch_rows_carry_their_own_blow_up():
+    # row 0 starts large enough to trip the explicit-EM guard, row 1 does not
+    cfg = make_config(scheme="explicit_em", dt=1e-5, t_end=0.01, gate_override=True)
+    a0 = np.zeros((2, 16))
+    a0[:, 0] = (50.0, 0.1)
+    rec = run_batch(cfg, None, a0)
+    blown, live = rec.row(0), rec.row(1)
+    assert blown.blown_up and blown.blow_up_reason == "stability guard violated"
+    assert blown.blow_up_time == pytest.approx(1e-5)
+    assert np.all(np.isnan(blown.final_coeffs))
+    assert not live.blown_up
+    assert live.blow_up_time is None and live.blow_up_reason is None
+    assert np.all(np.isfinite(live.h_norms)) and np.all(np.isfinite(live.final_coeffs))
+
+
 def test_snapshots_recorded():
-    cfg = make_config(t_end=0.02, record_every=10, gate_override=True,
-                      snapshot_times=(0.01, 0.02))
-    rec = simulate(cfg)
-    assert set(rec.snapshots) == {0.01, 0.02}
-    assert rec.snapshots[0.02].shape == (16,)
-    assert np.array_equal(rec.snapshots[0.02], rec.final_coeffs)
+    cfg = make_config(t_end=0.02, record_every=10, gate_override=True)
+    a0 = initial_coeffs(cfg)[None, :]
+    rec = run_batch(cfg, None, a0, snapshot_times=(0.01, 0.02))
+    assert set(rec.snapshot_times) == {0.01, 0.02}
+    assert rec.snapshots[1, 0].shape == (16,)
+    assert np.array_equal(rec.snapshots[1, 0], rec.final_coeffs[0])
 
 
 def test_coupled_distance_monotone_and_bounded():
