@@ -11,7 +11,12 @@ band-limited fields; the only quadrature is the composite midpoint rule.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dst
+
+# The kernel that scipy.fft.dst's default backend calls.  Calling it
+# directly skips the backend dispatch paid on every call, which on a
+# single 512-point row costs about as much as the transform itself.
+# tests/test_basis.py pins its output to scipy.fft.dst's, byte for byte.
+from scipy.fft._pocketfft import dst
 
 
 @dataclass(frozen=True)
@@ -78,9 +83,10 @@ class OperatorSpec:
             raise ValueError(
                 f"expected {self.grid_size} grid values, got {v.shape[-1]}"
             )
-        # DST-II with midpoint quadrature weight 1/grid_size
-        coeffs = dst(v, type=2, axis=-1) * (np.sqrt(2.0) / (2.0 * self.grid_size))
-        return coeffs[..., : self.n_modes]
+        # DST-II with midpoint quadrature weight 1/grid_size; only the
+        # first n_modes outputs are scaled
+        coeffs = dst(v, type=2, axis=-1)[..., : self.n_modes]
+        return coeffs * (np.sqrt(2.0) / (2.0 * self.grid_size))
 
     def h_norm(self, coeffs):
         """Dual-space norm sqrt(sum_k a_k^2 / lambda_k)."""

@@ -158,6 +158,9 @@ def contraction_ode_reference(z0, eps, p, t_grid):
     return comparison_ode_closed_form(c2, p.r, (z0 + eps) ** 2, t_grid)
 
 
+MIN_FIT_POINTS = 5  # sample times a rate fit needs inside its window
+
+
 def _window_select(times, values, window):
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -166,8 +169,8 @@ def _window_select(times, values, window):
         raise ValueError("empty fit window")
     mask = (t >= lo) & (t <= hi)
     t, v = t[mask], v[mask]
-    if len(t) < 5:
-        raise ValueError("need at least 5 samples inside the fit window")
+    if len(t) < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} samples inside the fit window")
     if np.any(v <= 0):
         raise ValueError("nonpositive values inside the fit window")
     return t, v

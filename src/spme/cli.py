@@ -162,6 +162,8 @@ def cmd_ergodic(args):
     _, _, verdict = _certify(sim)
     sample_times = cfg["ensemble.sample_times"] or config_mod.default_sample_times(cfg)
     initials = tuple(config_mod.parse_initial(s) for s in cfg["ensemble.initials"])
+    window = cfg["ensemble.fit_window"] or None
+    errors = ergodic_mod.window_errors(sample_times, cfg["ensemble.burn_in"], window)
     try:
         ens = ergodic_mod.EnsembleConfig(
             base=sim,
@@ -174,8 +176,9 @@ def cmd_ergodic(args):
     except ValueError as exc:
         # EnsembleConfig checks the sample times, default ones included,
         # against the horizon and the dt grid
-        raise config_mod.ConfigError([str(exc)]) from exc
-    window = cfg["ensemble.fit_window"] or None
+        errors.insert(0, str(exc))
+    if errors:
+        raise config_mod.ConfigError(errors)
     report, samples = ergodic_mod.mixing_experiment(
         ens, exponential=verdict.exponential_regime, fit_window=window
     )

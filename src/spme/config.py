@@ -262,7 +262,14 @@ def build_sim(config):
 
 
 def default_sample_times(config):
+    """16 geometric sample times from max(10*dt, t_end/50) to t_end."""
     t_end = config["sim.t_end"]
     dt = config["sim.dt"]
+    if t_end <= 10 * dt:
+        raise ConfigError([
+            f"sim.t_end: {t_end:g} is not past 10*sim.dt = {10 * dt:g}, the floor "
+            "of the default ensemble.sample_times; lengthen sim.t_end or set "
+            "ensemble.sample_times"
+        ])
     lo = max(10 * dt, 0.02 * t_end)
     return tuple(np.geomspace(lo, t_end, 16))

@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from . import noise as noise_mod
-from .bounds import fit_exp_rate, fit_power_law
+from .bounds import MIN_FIT_POINTS, fit_exp_rate, fit_power_law
 from .solver import BlowUpError, SimConfig, initial_coeffs, run_batch
 
 
@@ -140,6 +140,34 @@ def run_ensemble(config):
     )
 
 
+def default_fit_window(sample_times):
+    """The later half of the sample times."""
+    return float(sample_times[len(sample_times) // 2]), float(sample_times[-1])
+
+
+def window_errors(sample_times, burn_in, fit_window=None):
+    """Messages for a burn-in or a fit window that the sample times cannot fill.
+
+    After burn_in, at least one sample time must remain to average; the
+    fit window (default: `default_fit_window`) must hold MIN_FIT_POINTS
+    sample times.  Returns a list of messages, empty when both are met.
+    """
+    t = np.asarray(sample_times, dtype=float)
+    last = f"the last sample time is {t[-1]:g}"
+    errors = []
+    if not np.any(t > burn_in):
+        errors.append(f"ensemble.burn_in: no sample time after {burn_in:g}; {last}")
+    lo, hi = fit_window or default_fit_window(t)
+    inside = int(np.sum((t >= lo) & (t <= hi)))
+    if inside < MIN_FIT_POINTS:
+        which = "" if fit_window else " (default: the later half of the sample times)"
+        errors.append(
+            f"ensemble.fit_window{which}: [{lo:g}, {hi:g}] holds {inside} sample "
+            f"times, need at least {MIN_FIT_POINTS}; {last}"
+        )
+    return errors
+
+
 def _mean_se(x, axis=0):
     n = x.shape[axis]
     return np.mean(x, axis=axis), np.std(x, axis=axis, ddof=1) / np.sqrt(n)
@@ -221,8 +249,7 @@ def mixing_experiment(config, exponential=False, fit_window=None):
 
     gap = mixing_gap[samples.functionals[0]]
     if fit_window is None:
-        # default to the later half of the sample times
-        fit_window = (float(times[len(times) // 2]), float(times[-1]))
+        fit_window = default_fit_window(times)
     if exponential:
         fit = fit_exp_rate(times, np.maximum(gap, 1e-300), fit_window)
         fit_kind = "exponential"

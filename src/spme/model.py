@@ -43,6 +43,8 @@ class Nonlinearity:
     c1: float = 0.0
     c2: float = 0.0
     phi_fn: object = field(default=None, repr=False, compare=False)
+    # Psi(s) = s^3, the pure cubic: psi takes the exact fast path s*s*s
+    cubic: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.r > 1:
@@ -58,9 +60,17 @@ class Nonlinearity:
         for name in ("alpha", "gamma", "beta", "c1", "c2"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        object.__setattr__(
+            self, "cubic", self.r == 3.0 and self.alpha == 0.0 and self.gamma == 1.0
+        )
 
     def psi(self, s):
         s = np.asarray(s, dtype=float)
+        if self.cubic:
+            # on arrays the general formula gives the same bytes for every
+            # finite s: |s|**2.0 is s*s there and adding 0*s keeps the sign
+            # of zero.  s = ±inf gives ±inf here and NaN there.
+            return s * s * s
         return self.alpha * s + self.gamma * s * np.abs(s) ** (self.r - 1.0)
 
     def psi_prime(self, s):

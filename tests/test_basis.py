@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
+from spme import basis
 from spme.basis import OperatorSpec, dirichlet_laplacian
+
+TRANSFORM_SHAPES = [(1, 512), (512,), (2, 256), (500, 256)]
 
 
 @pytest.fixture
@@ -48,6 +52,35 @@ def test_analyze_picks_out_eigenfunction(op):
     expected = np.zeros(16)
     expected[4] = 1.0
     assert np.max(np.abs(coeffs - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", [2, 3])
+@pytest.mark.parametrize("shape", TRANSFORM_SHAPES)
+def test_dst_kernel_is_scipy_fft_dst(shape, kind):
+    # basis calls scipy's private pocketfft entry; if a scipy release moves
+    # or changes it, this fails before any artifact drifts
+    x = np.random.default_rng(12).standard_normal(shape)
+    got = basis.dst(x, type=kind, axis=-1)
+    want = scipy.fft.dst(x, type=kind, axis=-1)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", TRANSFORM_SHAPES)
+def test_transforms_match_scipy_fft_expressions(shape):
+    grid = shape[-1]
+    spec = OperatorSpec(n_modes=grid // 8, grid_size=grid)
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal(shape[:-1] + (spec.n_modes,))
+    pad = np.zeros(shape)
+    pad[..., : spec.n_modes] = a
+    want = (np.sqrt(2.0) / 2.0) * scipy.fft.dst(pad, type=3, axis=-1)
+    got = spec.synth(a)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    v = rng.standard_normal(shape)
+    scaled = scipy.fft.dst(v, type=2, axis=-1) * (np.sqrt(2.0) / (2.0 * grid))
+    want = scaled[..., : spec.n_modes]
+    got = spec.analyze(v)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_h_norm_examples(op):

@@ -183,7 +183,8 @@ def test_config_error_exit_1(tmp_path, capsys):
 
 
 GATE_FAIL = "model.phi = scaled_identity\nmodel.beta = 0.5\n"  # sigma = 0 < delta
-SMALL_ENSEMBLE = "ensemble.n_traj = 8\n"
+# burn_in 0.1 leaves the later sample times of the 0.2 horizon to average
+SMALL_ENSEMBLE = "ensemble.n_traj = 8\nensemble.burn_in = 0.1\n"
 
 
 @pytest.mark.parametrize(
@@ -213,16 +214,25 @@ SMALL_ENSEMBLE = "ensemble.n_traj = 8\n"
          "noise.q: must be finite"),
         # 0.0001 and 0.0002 both round to step 0 at sim.dt = 0.001
         ("ergodic",
-         "ensemble.burn_in = 0.1\nensemble.sample_times = 0.0001,0.0002,"
+         "ensemble.sample_times = 0.0001,0.0002,"
          + ",".join(f"{0.02 * k:g}" for k in range(1, 11)) + "\n" + SMALL_ENSEMBLE,
          1, "sample times 0.0001 and 0.0002 round to the same dt step"),
+        # windows the sample times cannot fill; the default burn_in is 1
+        ("ergodic", "ensemble.n_traj = 8\n", 1,
+         "ensemble.burn_in: no sample time after 1; the last sample time is 0.2"),
+        ("ergodic", "ensemble.fit_window = 0.15,0.2\n" + SMALL_ENSEMBLE, 1,
+         "ensemble.fit_window: [0.15, 0.2] holds 2 sample times, need at least 5"),
+        # the default sample times start at 10*sim.dt
+        ("ergodic", "sim.t_end = 0.005\n" + SMALL_ENSEMBLE, 1,
+         "sim.t_end: 0.005 is not past 10*sim.dt = 0.01"),
     ],
     ids=[
         "couple-gate", "ergodic-gate", "ergodic-blow-up", "grid-below-modes",
         "grid-aliased", "unknown-initial", "bad-initial-scale", "one-initial",
         "unknown-functional", "no-functional", "unordered-sample-times",
         "alpha-with-odd-power", "sample-time-past-t-end", "horizon-drift",
-        "non-finite-q", "colliding-sample-times",
+        "non-finite-q", "colliding-sample-times", "burn-in-past-samples",
+        "thin-fit-window", "horizon-below-sample-floor",
     ],
 )
 def test_failure_exit_codes(tmp_path, capsys, command, extra, code, message):
@@ -234,3 +244,12 @@ def test_failure_exit_codes(tmp_path, capsys, command, extra, code, message):
     if code == 2:
         meta = json.loads((out / f"{command}_meta.json").read_text())
         assert meta["gate"] == "fail" and message in meta["error"]
+
+
+def test_ergodic_window_errors_reported_together(tmp_path, capsys):
+    cfg = write(tmp_path, BASE + "ensemble.sample_times = 0.05,0.1,0.2\n")
+    assert main(["ergodic", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "ensemble.burn_in: no sample time after 1" in err
+    assert ("ensemble.fit_window (default: the later half of the sample times): "
+            "[0.1, 0.2] holds 2 sample times") in err

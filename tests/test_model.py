@@ -123,3 +123,45 @@ def test_psi_evaluation():
     s = np.array([-2.0, 0.0, 1.5])
     assert np.allclose(mdl.psi(s), 0.5 * s + s**3)
     assert np.allclose(mdl.psi_prime(s), 0.5 + 3.0 * s**2)
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 1e100, -1e100]
+
+
+def general_psi(mdl, s):
+    return mdl.alpha * s + mdl.gamma * s * np.abs(s) ** (mdl.r - 1.0)
+
+
+# s**3 overflows to inf on the largest inputs, as intended
+OVERFLOW_OK = pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+
+
+def psi_inputs():
+    rng = np.random.default_rng(14)
+    # magnitudes from subnormal to overflowing s**3
+    s = rng.standard_normal(20000) * 10.0 ** rng.uniform(-320, 160, 20000)
+    return np.concatenate([s, EDGE_VALUES])
+
+
+@OVERFLOW_OK
+def test_cubic_psi_fast_path_is_exact():
+    mdl = Nonlinearity(r=3.0, psi_kind="odd_power")
+    assert mdl.cubic
+    s = psi_inputs()
+    assert mdl.psi(s).tobytes() == general_psi(mdl, s).tobytes()
+    # the one difference: s**3 keeps the sign of an infinity, 0*inf is NaN
+    assert mdl.psi(np.array([np.inf, -np.inf])).tolist() == [np.inf, -np.inf]
+    assert np.isnan(general_psi(mdl, np.array([np.inf, -np.inf]))).all()
+
+
+@OVERFLOW_OK
+@pytest.mark.parametrize(
+    "kw",
+    [dict(r=5.0), dict(psi_kind="linear_plus_odd_power", alpha=0.5), dict(gamma=2.0)],
+    ids=["r5", "alpha", "gamma"],
+)
+def test_psi_general_formula_off_the_fast_path(kw):
+    mdl = Nonlinearity(**kw)
+    assert not mdl.cubic
+    s = np.concatenate([psi_inputs(), [np.inf, -np.inf]])
+    assert mdl.psi(s).tobytes() == general_psi(mdl, s).tobytes()

@@ -14,6 +14,7 @@ from spme.solver import (
     coupled_simulate,
     drift,
     initial_coeffs,
+    nonfinite_rows,
     run_batch,
     simulate,
     step,
@@ -157,6 +158,29 @@ def test_batch_rows_carry_their_own_blow_up():
     assert not live.blown_up
     assert live.blow_up_time is None and live.blow_up_reason is None
     assert np.all(np.isfinite(live.h_norms)) and np.all(np.isfinite(live.final_coeffs))
+
+
+def test_nonfinite_rows():
+    a = np.zeros((3, 16))
+    a[1, :2] = 1e308  # finite entries whose sum overflows
+    assert not np.isfinite(a.sum())
+    assert nonfinite_rows(a) is None
+    for bad in (np.nan, np.inf, -np.inf):
+        b = a.copy()
+        b[2, 5] = bad
+        assert nonfinite_rows(b).tolist() == [False, False, True]
+
+
+def test_overflowing_row_flagged_non_finite():
+    # Psi overflows to inf on the large row's grid values at the first step
+    cfg = make_config(gate_override=True, t_end=1e-3)
+    a0 = np.zeros((2, 16))
+    a0[:, 0] = [1.0, 1e200]
+    rec = run_batch(cfg, None, a0)
+    assert rec.blown.tolist() == [False, True]
+    assert rec.blow_up_times[1] == cfg.dt
+    assert rec.blow_up_reasons[1] == "non-finite state"
+    assert np.isnan(rec.final_coeffs[1]).all() and np.isfinite(rec.final_coeffs[0]).all()
 
 
 def test_snapshots_recorded():
