@@ -121,8 +121,25 @@ def cmd_couple(args):
     ay = solver_mod.initial_coeffs(
         sim, preset=cfg["sim.initial_y"], scale=cfg["sim.initial_y_scale"]
     )
+    with np.errstate(over="ignore"):  # an overflow is a config error below
+        z0 = float(sim.operator.h_norm(ax - ay))
+        norms = {"sim.initial_scale": sim.operator.h_norm(ax),
+                 "sim.initial_y_scale": sim.operator.h_norm(ay)}
+    errors = [f"{key}: the initial H-norm overflows at {key} = {cfg[key]:g}"
+              for key, h in norms.items() if not np.isfinite(h)]
+    if not errors and not np.isfinite(z0):
+        errors.append("sim.initial_scale, sim.initial_y_scale: the initial H-distance "
+                      "overflows")
+    if sim.gate_override and not k.eta > k.theta:
+        # without the override the gate stops the run on this (exit 2)
+        errors.append(
+            f"model.gamma, model.phi: certified eta = {k.eta:g} does not exceed "
+            f"theta = {k.theta:g}; the contraction envelope needs eta > theta, "
+            "sim.gate_override or not"
+        )
+    if errors:
+        raise config_mod.ConfigError(errors)
     rec_x, _, dist = solver_mod.coupled_simulate(sim, initial_x=ax, initial_y=ay)
-    z0 = float(sim.operator.h_norm(ax - ay))
     params = bounds_mod.BoundParams(
         r=sim.model.r, eta=k.eta, theta=k.theta, sigma=k.sigma, delta=k.delta,
         lambda_1=sim.operator.eigenvalue(1),

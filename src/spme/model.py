@@ -43,7 +43,7 @@ class Nonlinearity:
     c1: float = 0.0
     c2: float = 0.0
     phi_fn: object = field(default=None, repr=False, compare=False)
-    # Psi(s) = s^3, the pure cubic: psi takes the exact fast path s*s*s
+    # Psi(s) = s^3, the pure cubic: psi and psi_prime take exact fast paths
     cubic: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -75,6 +75,13 @@ class Nonlinearity:
 
     def psi_prime(self, s):
         s = np.asarray(s, dtype=float)
+        if self.cubic and s.ndim:
+            # on arrays the general formula gives the same bytes, bar the
+            # sign bit of a NaN input (abs clears it): |s|**2.0 is s*s
+            # there, and adding 0 to the nonnegative 3*s*s changes nothing.
+            # A 0-d s keeps the general formula, whose scalar rounding
+            # couple.csv pins.
+            return 3.0 * (s * s)
         return self.alpha + self.gamma * self.r * np.abs(s) ** (self.r - 1.0)
 
     def phi(self, s):

@@ -13,6 +13,7 @@ stability guard.  A batch axis over independent trajectories is
 supported throughout, with per-trajectory noise streams.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,7 +181,7 @@ def drift(coeffs, model, operator):
     """
     values = operator.synth(coeffs)
     psi_hat = operator.analyze(model.psi(values))
-    b = -operator.eigenvalues * psi_hat
+    b = operator.neg_eigenvalues * psi_hat
     if not model.phi_is_zero:
         b = b + operator.analyze(model.phi(values))
     return b, values
@@ -214,7 +215,7 @@ def nonfinite_rows(a):
     makes the sum non-finite.  Only a non-finite sum, which finite entries
     whose sum overflows also give, builds the exact per-row mask.
     """
-    if np.isfinite(a.sum()):
+    if math.isfinite(a.sum()):
         return None
     rows = ~np.isfinite(a).all(axis=-1)
     return rows if rows.any() else None

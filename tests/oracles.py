@@ -23,6 +23,32 @@ class OracleCase:
     note: str = ""
 
 
+def eigenfunction_values(op, k, grid=None):
+    """Point values of e_k(x) = sqrt(2) sin(k pi x), on op's nodes by default."""
+    x = op.nodes if grid is None else np.asarray(grid, dtype=float)
+    return np.sqrt(2.0) * np.sin(k * np.pi * x)
+
+
+def lp_norm(values, p):
+    """L^p norm on (0,1) by the composite midpoint rule."""
+    if p < 1:
+        raise ValueError("p must be at least 1")
+    v = np.asarray(values, dtype=float)
+    return np.mean(np.abs(v) ** p, axis=-1) ** (1.0 / p)
+
+
+def inv_l_coeffs(op, coeffs):
+    """Apply L^{-1} spectrally: a_k -> -a_k / lambda_k."""
+    a = np.asarray(coeffs, dtype=float)
+    return -a / op.eigenvalues[: a.shape[-1]]
+
+
+def apply_l_coeffs(op, coeffs):
+    """Apply L spectrally: a_k -> -lambda_k a_k."""
+    a = np.asarray(coeffs, dtype=float)
+    return -a * op.eigenvalues[: a.shape[-1]]
+
+
 def eta_bruteforce(psi, r, sigma=0.0, box=(-10.0, 10.0), grid=400):
     """Infimum of ((s-t)(psi(s)-psi(t)) - sigma (s-t)^2) / |s-t|^(r+1).
 

@@ -225,6 +225,13 @@ SMALL_ENSEMBLE = "ensemble.n_traj = 8\nensemble.burn_in = 0.1\n"
         # the default sample times start at 10*sim.dt
         ("ergodic", "sim.t_end = 0.005\n" + SMALL_ENSEMBLE, 1,
          "sim.t_end: 0.005 is not past 10*sim.dt = 0.01"),
+        # the contraction envelope needs eta > theta and a finite z0, override or not
+        ("couple", "sim.gate_override = true\nmodel.gamma = 0\n", 1,
+         "model.gamma, model.phi: certified eta = 0 does not exceed theta = 0"),
+        ("couple", "sim.initial_scale = 1e200\n", 1,
+         "sim.initial_scale: the initial H-norm overflows at sim.initial_scale = 1e+200"),
+        ("couple", "sim.initial_scale = 1e154\nsim.initial_y_scale = -1e154\n", 1,
+         "sim.initial_scale, sim.initial_y_scale: the initial H-distance overflows"),
     ],
     ids=[
         "couple-gate", "ergodic-gate", "ergodic-blow-up", "grid-below-modes",
@@ -232,7 +239,8 @@ SMALL_ENSEMBLE = "ensemble.n_traj = 8\nensemble.burn_in = 0.1\n"
         "unknown-functional", "no-functional", "unordered-sample-times",
         "alpha-with-odd-power", "sample-time-past-t-end", "horizon-drift",
         "non-finite-q", "colliding-sample-times", "burn-in-past-samples",
-        "thin-fit-window", "horizon-below-sample-floor",
+        "thin-fit-window", "horizon-below-sample-floor", "couple-eta-not-above-theta",
+        "couple-initial-norm-overflow", "couple-initial-distance-overflow",
     ],
 )
 def test_failure_exit_codes(tmp_path, capsys, command, extra, code, message):

@@ -165,3 +165,29 @@ def test_psi_general_formula_off_the_fast_path(kw):
     assert not mdl.cubic
     s = np.concatenate([psi_inputs(), [np.inf, -np.inf]])
     assert mdl.psi(s).tobytes() == general_psi(mdl, s).tobytes()
+
+
+def general_psi_prime(mdl, s):
+    return mdl.alpha + mdl.gamma * mdl.r * np.abs(s) ** (mdl.r - 1.0)
+
+
+@OVERFLOW_OK
+def test_cubic_psi_prime_fast_path_is_exact():
+    mdl = Nonlinearity(r=3.0, psi_kind="odd_power")
+    assert mdl.cubic
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    rng = np.random.default_rng(15)
+    batch = rng.standard_normal((500, 256)) * 10.0 ** rng.uniform(-320, 160, (500, 256))
+    batch[::100, :5] = specials
+    for s in (np.concatenate([psi_inputs(), specials]), batch):
+        assert mdl.psi_prime(s).tobytes() == general_psi_prime(mdl, s).tobytes()
+    # a 0-d input keeps the general formula: its scalar power rounds apart
+    # from s*s on some inputs, and couple.csv pins that rounding
+    points = psi_inputs()[:2000]
+    fast_differs = 0
+    for x in points:
+        got = mdl.psi_prime(x)
+        want = general_psi_prime(mdl, np.asarray(x))
+        assert np.ndim(got) == 0 and np.float64(got).tobytes() == np.float64(want).tobytes()
+        fast_differs += np.float64(3.0 * (x * x)).tobytes() != np.float64(want).tobytes()
+    assert fast_differs > 0
