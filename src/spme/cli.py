@@ -64,6 +64,23 @@ def _certify(sim):
     return trace, constants, verdict
 
 
+def _overflow_errors(op, states):
+    """A config error for each initial state whose H-norm overflows.
+
+    `states` holds (key, setting, coeffs) triples: the config key that
+    sets a state, its setting as the error should quote it, and the
+    state's coefficients.  Such a state is non-finite before step 1.
+    """
+    with np.errstate(over="ignore"):
+        return [f"{key}: the initial H-norm overflows at {setting}"
+                for key, setting, a in states if not np.isfinite(op.h_norm(a))]
+
+
+def _scaled(cfg, key, coeffs):
+    """The (key, setting, coeffs) triple of a state scaled by `key`."""
+    return key, f"{key} = {cfg[key]:g}", coeffs
+
+
 def cmd_verify(args):
     cfg, sim, out = _load(args)
     trace, k, verdict = _certify(sim)
@@ -102,6 +119,11 @@ def _write_trajectory_csv(path, record):
 
 def cmd_simulate(args):
     cfg, sim, out = _load(args)
+    errors = _overflow_errors(
+        sim.operator, [_scaled(cfg, "sim.initial_scale", solver_mod.initial_coeffs(sim))]
+    )
+    if errors:
+        raise config_mod.ConfigError(errors)
     record = solver_mod.simulate(sim)
     _write_trajectory_csv(out / "simulate.csv", record)
     _write_meta(out, "simulate", {
@@ -121,12 +143,11 @@ def cmd_couple(args):
     ay = solver_mod.initial_coeffs(
         sim, preset=cfg["sim.initial_y"], scale=cfg["sim.initial_y_scale"]
     )
+    errors = _overflow_errors(sim.operator, [
+        _scaled(cfg, "sim.initial_scale", ax), _scaled(cfg, "sim.initial_y_scale", ay)
+    ])
     with np.errstate(over="ignore"):  # an overflow is a config error below
         z0 = float(sim.operator.h_norm(ax - ay))
-        norms = {"sim.initial_scale": sim.operator.h_norm(ax),
-                 "sim.initial_y_scale": sim.operator.h_norm(ay)}
-    errors = [f"{key}: the initial H-norm overflows at {key} = {cfg[key]:g}"
-              for key, h in norms.items() if not np.isfinite(h)]
     if not errors and not np.isfinite(z0):
         errors.append("sim.initial_scale, sim.initial_y_scale: the initial H-distance "
                       "overflows")
@@ -181,6 +202,10 @@ def cmd_ergodic(args):
     initials = tuple(config_mod.parse_initial(s) for s in cfg["ensemble.initials"])
     window = cfg["ensemble.fit_window"] or None
     errors = ergodic_mod.window_errors(sample_times, cfg["ensemble.burn_in"], window)
+    errors += _overflow_errors(sim.operator, [
+        ("ensemble.initials", label, solver_mod.initial_coeffs(sim, preset, scale))
+        for label, (preset, scale) in zip(cfg["ensemble.initials"], initials)
+    ])
     try:
         ens = ergodic_mod.EnsembleConfig(
             base=sim,

@@ -71,10 +71,8 @@ def _choice(default, choices, message):
     return _Key(str, default, lambda v: v in choices, message)
 
 
-# callable Phi and coupling-matrix noise are library-only: a config
-# document has no way to spell them
+# callable Phi is library-only: a config document has no way to spell it
 _CONFIG_PHI_KINDS = tuple(k for k in PHI_KINDS if k != "custom")
-_CONFIG_PROFILES = tuple(p for p in PROFILES if p != "full_matrix")
 
 SCHEMA = {
     "operator.n_modes": _Key(int, 64, lambda v: v >= 1, "must be positive"),
@@ -85,7 +83,7 @@ SCHEMA = {
     "model.gamma": _Key(float, 1.0, np.isfinite, "must be finite"),
     "model.phi": _choice("zero", _CONFIG_PHI_KINDS, "unknown phi kind"),
     "model.beta": _Key(float, 0.0, np.isfinite, "must be finite"),
-    "noise.profile": _choice("zero", _CONFIG_PROFILES, "unknown noise profile"),
+    "noise.profile": _choice("zero", PROFILES, "unknown noise profile"),
     "noise.c": _Key(float, 0.0, lambda v: v >= 0, "must be nonnegative"),
     "noise.a": _Key(float, 0.0, lambda v: v >= 0, "must be nonnegative"),
     "noise.q": _Key(

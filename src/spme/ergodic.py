@@ -125,8 +125,11 @@ def run_ensemble(config):
         for fi, fn in enumerate(funcs):
             fv[:, :, fi] = fn(snaps, op).T
         func_values[label] = fv
-        # sample-time observables from the snapshots themselves
-        lrp1[label] = op.lp_power(op.synth(snaps), base.model.r + 1.0).T
+        # sample-time observables from the snapshots themselves, one
+        # sample time at a time: the (S, B, grid_size) grid values of all
+        # of them and their powers set the memory peak of a large ensemble
+        r = base.model.r
+        lrp1[label] = np.array([op.lp_power(op.synth(x), r + 1.0) for x in snaps]).T
         finals[label] = rec.final_coeffs[live]
         excluded[label] = n_excl
 

@@ -1,10 +1,9 @@
 """Constant (additive) noise: coefficient profiles and reproducible streams.
 
 The driving noise acts mode-wise: mode i receives q_i * dB^i for
-independent scalar Brownian motions B^i (a full coupling matrix is also
-supported).  Streams are counter-based (Philox) and keyed by
-(master_seed, stream_id), so every trajectory's noise is reproducible
-independently of scheduling.
+independent scalar Brownian motions B^i.  Streams are counter-based
+(Philox) and keyed by (master_seed, stream_id), so every trajectory's
+noise is reproducible independently of scheduling.
 """
 
 from dataclasses import dataclass
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta
 
-PROFILES = ("zero", "diagonal_power", "explicit_diagonal", "full_matrix")
+PROFILES = ("zero", "diagonal_power", "explicit_diagonal")
 
 
 @dataclass(frozen=True)
@@ -21,14 +20,12 @@ class NoiseSpec:
 
     diagonal_power: q_i = c * i**(-a).
     explicit_diagonal: q given as a vector.
-    full_matrix: mode couplings q_ij; q_i^2 = sum_j q_ij^2.
     """
 
     profile: str = "zero"
     c: float = 0.0
     a: float = 0.0
     q: np.ndarray = None
-    matrix: np.ndarray = None
     master_seed: int = 0
 
     def __post_init__(self):
@@ -41,11 +38,6 @@ class NoiseSpec:
             if q.ndim != 1 or not np.all(np.isfinite(q)):
                 raise ValueError("explicit_diagonal requires a finite vector")
             object.__setattr__(self, "q", q)
-        if self.profile == "full_matrix":
-            m = np.asarray(self.matrix, dtype=float)
-            if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.all(np.isfinite(m)):
-                raise ValueError("full_matrix requires a finite square matrix")
-            object.__setattr__(self, "matrix", m)
 
     def q_vector(self, n_modes):
         """Per-mode amplitudes q_i for i <= n_modes (truncated profile)."""
@@ -54,21 +46,10 @@ class NoiseSpec:
         if self.profile == "diagonal_power":
             i = np.arange(1, n_modes + 1, dtype=float)
             return self.c * i ** (-self.a)
-        if self.profile == "explicit_diagonal":
-            out = np.zeros(n_modes)
-            m = min(n_modes, len(self.q))
-            out[:m] = self.q[:m]
-            return out
-        # row-sum amplitudes q_i^2 = sum_j q_ij^2
-        m = self.truncated_matrix(n_modes)
-        return np.sqrt(np.sum(m * m, axis=1))
-
-    def truncated_matrix(self, n_modes):
-        """The full_matrix couplings restricted (zero-padded) to n_modes."""
-        m = np.zeros((n_modes, n_modes))
-        k = min(n_modes, self.matrix.shape[0])
-        m[:k, :k] = self.matrix[:k, :k]
-        return m
+        out = np.zeros(n_modes)
+        m = min(n_modes, len(self.q))
+        out[:m] = self.q[:m]
+        return out
 
     @property
     def is_zero(self):
@@ -76,18 +57,16 @@ class NoiseSpec:
             return True
         if self.profile == "diagonal_power":
             return self.c == 0.0
-        if self.profile == "explicit_diagonal":
-            return not np.any(self.q)
-        return not np.any(self.matrix)
+        return not np.any(self.q)
 
 
 def trace(spec, operator):
     """The quantity sum_i q_i^2 / lambda_i (finite for all built-in profiles).
 
     For diagonal_power the sum over the retained modes is completed by the
-    exact analytic tail c^2/pi^2 * zeta_H(2a+2, n+1); for explicit and
-    matrix profiles the sum is finite.  Returns inf if a future profile
-    ever diverges.
+    exact analytic tail c^2/pi^2 * zeta_H(2a+2, n+1); for an explicit
+    profile the sum is finite.  Returns inf if a future profile ever
+    diverges.
     """
     n = operator.n_modes
     qv = spec.q_vector(n)
@@ -116,8 +95,5 @@ def sample_increment_block(spec, n_modes, dt, stream, count):
     if dt <= 0:
         raise ValueError("dt must be positive")
     xi = stream.normals((count, n_modes))
-    if spec.profile == "full_matrix":
-        return (xi * np.sqrt(dt)) @ spec.truncated_matrix(n_modes).T
-    # multiply xi by sqrt(dt) first so a diagonal full_matrix run is
-    # bit-identical to the explicit_diagonal one
+    # xi is scaled by sqrt(dt) before q: the recorded artifacts pin this order
     return spec.q_vector(n_modes) * (xi * np.sqrt(dt))

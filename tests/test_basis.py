@@ -88,6 +88,21 @@ def test_transforms_match_scipy_fft_expressions(shape):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("B", [1, 2, 3, 5, 7, 130, 500])
+def test_transforms_are_row_independent(B):
+    # run_batch steps row shards of a batch on separate threads and joins
+    # them; that gives the bytes of the whole batch only because no row's
+    # transform depends on how many rows share the call
+    spec = OperatorSpec(n_modes=32, grid_size=256)
+    rng = np.random.default_rng(B)
+    a = rng.standard_normal((B, spec.n_modes))
+    v = rng.standard_normal((B, spec.grid_size))
+    for fn, x in ((spec.synth, a), (spec.analyze, v)):
+        whole = fn(x)
+        for i in range(B):
+            assert whole[i].tobytes() == fn(x[i]).tobytes()
+
+
 def test_h_norm_examples(op):
     a = np.zeros(16)
     a[0] = 1.0

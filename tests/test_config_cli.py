@@ -232,6 +232,11 @@ SMALL_ENSEMBLE = "ensemble.n_traj = 8\nensemble.burn_in = 0.1\n"
          "sim.initial_scale: the initial H-norm overflows at sim.initial_scale = 1e+200"),
         ("couple", "sim.initial_scale = 1e154\nsim.initial_y_scale = -1e154\n", 1,
          "sim.initial_scale, sim.initial_y_scale: the initial H-distance overflows"),
+        # an initial state whose H-norm overflows is non-finite before step 1
+        ("simulate", "sim.initial_scale = 1e200\n", 1,
+         "sim.initial_scale: the initial H-norm overflows at sim.initial_scale = 1e+200"),
+        ("ergodic", "ensemble.initials = zero,1e200*e1\n" + SMALL_ENSEMBLE, 1,
+         "ensemble.initials: the initial H-norm overflows at 1e200*e1"),
     ],
     ids=[
         "couple-gate", "ergodic-gate", "ergodic-blow-up", "grid-below-modes",
@@ -241,6 +246,7 @@ SMALL_ENSEMBLE = "ensemble.n_traj = 8\nensemble.burn_in = 0.1\n"
         "non-finite-q", "colliding-sample-times", "burn-in-past-samples",
         "thin-fit-window", "horizon-below-sample-floor", "couple-eta-not-above-theta",
         "couple-initial-norm-overflow", "couple-initial-distance-overflow",
+        "simulate-initial-norm-overflow", "ergodic-initial-norm-overflow",
     ],
 )
 def test_failure_exit_codes(tmp_path, capsys, command, extra, code, message):

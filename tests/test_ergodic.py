@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spme import ergodic
 from spme.basis import OperatorSpec
 from spme.ergodic import (
     BUILTIN_FUNCTIONALS,
@@ -39,6 +40,27 @@ def test_run_ensemble_shapes():
     assert set(samples.func_values) == {"zero", "e1"}
     assert samples.func_values["e1"].shape == (32, 8, 2)
     assert samples.excluded == {"zero": 0, "e1": 0}
+
+
+def test_lrp1_per_sample_time_matches_whole_array(monkeypatch):
+    # run_ensemble synthesizes the snapshots one sample time at a time;
+    # the bytes must be those of the single synth over all of them
+    cfg = small_config(n_traj=16, t_end=0.1)
+    records, run_batch = [], ergodic.run_batch
+
+    def spy(*args, **kwargs):
+        records.append(run_batch(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(ergodic, "run_batch", spy)
+    samples = run_ensemble(cfg)
+    op, r = cfg.base.operator, cfg.base.model.r
+    for label, rec in zip(samples.lrp1, records):
+        snaps = rec.snapshots[:, ~rec.blown, :]
+        whole = op.lp_power(op.synth(snaps), r + 1.0).T
+        # the layout too: the post-burn-in means reduce along it
+        assert samples.lrp1[label].strides == whole.strides
+        assert samples.lrp1[label].tobytes() == whole.tobytes()
 
 
 def test_monte_carlo_error_scaling():

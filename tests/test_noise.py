@@ -23,9 +23,6 @@ def test_q_vector_profiles():
     assert np.allclose(q, 0.5 / np.array([1.0, 4.0, 9.0, 16.0]))
     spec = NoiseSpec(profile="explicit_diagonal", q=[1.0, 2.0])
     assert np.allclose(spec.q_vector(4), [1.0, 2.0, 0.0, 0.0])
-    m = np.array([[3.0, 4.0], [0.0, 1.0]])
-    spec = NoiseSpec(profile="full_matrix", matrix=m)
-    assert np.allclose(spec.q_vector(2), [5.0, 1.0])
 
 
 def test_is_zero():
@@ -70,18 +67,6 @@ def test_increment_statistics():
     assert np.all(np.abs(var - q**2) < 4 * se_var)
 
 
-def test_diagonal_matrix_bit_identity():
-    q = np.array([0.3, 0.7, 0.1])
-    diag = NoiseSpec(profile="explicit_diagonal", q=q, master_seed=5)
-    full = NoiseSpec(profile="full_matrix", matrix=np.diag(q), master_seed=5)
-    a = sample_increment_block(diag, 3, 0.01, NoiseStream(diag), 1)
-    b = sample_increment_block(full, 3, 0.01, NoiseStream(full), 1)
-    assert np.array_equal(a, b)
-    a = sample_increment_block(diag, 3, 0.01, NoiseStream(diag), 7)
-    b = sample_increment_block(full, 3, 0.01, NoiseStream(full), 7)
-    assert np.array_equal(a, b)
-
-
 def test_validation():
     with pytest.raises(ValueError):
         NoiseSpec(profile="white")
@@ -89,8 +74,6 @@ def test_validation():
         NoiseSpec(profile="diagonal_power", c=-1.0, a=1.0)
     with pytest.raises(ValueError):
         NoiseSpec(profile="explicit_diagonal", q=[[1.0]])
-    with pytest.raises(ValueError):
-        NoiseSpec(profile="full_matrix", matrix=np.ones(3))
     spec = NoiseSpec(profile="zero")
     with pytest.raises(ValueError):
         sample_increment_block(spec, 4, -0.1, NoiseStream(spec), 1)

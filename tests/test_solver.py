@@ -1,8 +1,12 @@
 """Time stepping: drift values, schemes, dissipation, coupling, blow-up."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from spme import solver
 from spme.basis import OperatorSpec
 from spme.bounds import BoundParams, contraction_bound
 from spme.cli import main
@@ -160,6 +164,49 @@ def test_batch_rows_carry_their_own_blow_up():
     assert np.all(np.isfinite(live.h_norms)) and np.all(np.isfinite(live.final_coeffs))
 
 
+def test_sharded_run_batch_is_bit_identical(monkeypatch):
+    # the same noisy batch stepped whole and as 2 and 3 row shards on
+    # threads; row 120, in the last shard, trips the explicit-EM guard
+    nz = NoiseSpec(profile="diagonal_power", c=0.2, a=1.0, master_seed=17)
+    cfg = make_config(noise=nz, scheme="explicit_em", dt=1e-5, t_end=3e-3,
+                      record_every=50, gate_override=True)
+    B = 131
+    a0 = np.zeros((B, 16))
+    a0[:, 0] = np.linspace(0.05, 0.5, B)
+    a0[120, 0] = 50.0
+    integrate, threads = solver._integrate, []
+
+    def spy(*args):
+        threads.append(threading.get_ident())
+        return integrate(*args)
+
+    monkeypatch.setattr(solver, "_integrate", spy)
+    records = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for shards in (1, 2, 3):
+            monkeypatch.setattr(solver, "_shard_count", lambda B, w=shards: w)
+            before, threads[:] = threading.active_count(), []
+            streams = [NoiseStream(nz, j) for j in range(B)]
+            records.append(run_batch(cfg, streams, a0, snapshot_times=(1e-3, 3e-3)))
+            assert threading.active_count() == before
+            # shard 0 on the calling thread, one pool thread per other shard
+            assert len(set(threads)) == shards and threading.get_ident() in threads
+    finally:
+        sys.setswitchinterval(interval)
+    whole = records[0]
+    assert np.flatnonzero(whole.blown).tolist() == [120]
+    assert whole.blow_up_reasons[120] == "stability guard violated"
+    for rec in records[1:]:
+        for name in ("times", "h_norms", "l2_norms", "lrp1_powers", "blown",
+                     "blow_up_times", "final_coeffs", "snapshots", "snapshot_times"):
+            assert getattr(rec, name).shape == getattr(whole, name).shape
+            assert getattr(rec, name).tobytes() == getattr(whole, name).tobytes(), name
+        assert rec.blow_up_reasons.tolist() == whole.blow_up_reasons.tolist()
+        assert rec.scheme == whole.scheme
+
+
 def test_nonfinite_rows():
     a = np.zeros((3, 16))
     a[1, :2] = 1e308  # finite entries whose sum overflows
@@ -218,7 +265,8 @@ def test_config_validation(tmp_path):
         make_config(scheme="heun")
     with pytest.raises(ValueError):
         make_config(operator=OperatorSpec(n_modes=16, grid_size=64))  # aliasing
-    # library-only kinds are config errors (exit 1), not tracebacks
+    # library-only Phi and an unknown noise profile are config errors
+    # (exit 1), not tracebacks
     for line in ("model.phi = custom", "noise.profile = full_matrix"):
         with pytest.raises(ConfigError):
             parse_config(line + "\n")
