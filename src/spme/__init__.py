@@ -1,7 +1,7 @@
 """Spectral Galerkin simulation and verification for a generalized
 stochastic porous medium equation on the unit interval."""
 
-from .basis import OperatorSpec, dirichlet_laplacian
+from .basis import OperatorSpec
 from .bounds import (
     BoundParams,
     RateFit,
@@ -34,7 +34,6 @@ from .solver import (
 
 __all__ = [
     "OperatorSpec",
-    "dirichlet_laplacian",
     "BoundParams",
     "RateFit",
     "comparison_ode_solve",

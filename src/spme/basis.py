@@ -33,7 +33,6 @@ class OperatorSpec:
     grid_size: int
     eigenvalues: np.ndarray = field(init=False, repr=False)
     neg_eigenvalues: np.ndarray = field(init=False, repr=False)  # -lambda_k, L's spectrum
-    nodes: np.ndarray = field(init=False, repr=False)
     analyze_scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -44,11 +43,9 @@ class OperatorSpec:
         k = np.arange(1, self.n_modes + 1)
         object.__setattr__(self, "eigenvalues", (k * np.pi) ** 2)
         object.__setattr__(self, "neg_eigenvalues", -self.eigenvalues)
-        # midpoint nodes: avoids the boundary and makes the discrete sine
-        # basis exactly orthonormal under the quadrature weights 1/grid_size
-        x = (np.arange(self.grid_size) + 0.5) / self.grid_size
-        object.__setattr__(self, "nodes", x)
-        # DST-II with midpoint quadrature weight 1/grid_size
+        # DST-II with midpoint quadrature weight 1/grid_size: midpoint nodes
+        # avoid the boundary and make the discrete sine basis exactly
+        # orthonormal under these weights
         object.__setattr__(self, "analyze_scale", np.sqrt(2.0) / (2.0 * self.grid_size))
 
     def eigenvalue(self, k):
@@ -113,15 +110,3 @@ class OperatorSpec:
     def dealiasing_ok(self, r):
         """True if the grid resolves degree-r powers of n_modes fields."""
         return self.grid_size >= 2 * (r + 1) * self.n_modes
-
-
-def dirichlet_laplacian(n_modes, grid_size=None, r=3.0):
-    """Build an OperatorSpec with a grid satisfying the dealiasing policy.
-
-    If grid_size is omitted, the smallest power-of-two grid with at least
-    2*(r+1)*n_modes cells is chosen.
-    """
-    if grid_size is None:
-        target = int(np.ceil(2 * (r + 1) * n_modes))
-        grid_size = 1 << int(np.ceil(np.log2(target)))
-    return OperatorSpec(n_modes=n_modes, grid_size=grid_size)

@@ -23,13 +23,12 @@ class BoundParams:
     sigma: float = 0.0
     delta: float = 0.0
     lambda_1: float = np.pi**2
-    C: float = 1.0
 
     def __post_init__(self):
         if not self.r > 1:
             raise ValueError("r must exceed 1")
-        if self.lambda_1 <= 0 or self.C <= 0:
-            raise ValueError("lambda_1 and C must be positive")
+        if self.lambda_1 <= 0:
+            raise ValueError("lambda_1 must be positive")
 
     @property
     def contraction_coeff(self):

@@ -19,7 +19,6 @@ from . import bounds as bounds_mod
 from . import config as config_mod
 from . import ergodic as ergodic_mod
 from . import model as model_mod
-from . import noise as noise_mod
 from . import solver as solver_mod
 
 EXIT_OK = 0
@@ -56,14 +55,6 @@ def _load(args):
     return cfg, sim, out
 
 
-def _certify(sim):
-    trace = noise_mod.trace(sim.noise, sim.operator)
-    constants, verdict = model_mod.certify_constants(
-        sim.model, sim.operator.eigenvalue(1), trace
-    )
-    return trace, constants, verdict
-
-
 def _overflow_errors(op, states):
     """A config error for each initial state whose H-norm overflows.
 
@@ -83,7 +74,7 @@ def _scaled(cfg, key, coeffs):
 
 def cmd_verify(args):
     cfg, sim, out = _load(args)
-    trace, k, verdict = _certify(sim)
+    trace, k, verdict = solver_mod.certify(sim)
     gate = "pass" if verdict.passed else "fail"
     rows = [
         "eta,sigma,theta,delta,kappa,c,c1,c2,trace_q,gate",
@@ -130,7 +121,7 @@ def cmd_simulate(args):
         "blown_up": record.blown_up,
         "blow_up_time": None if record.blow_up_time is None else _f(record.blow_up_time),
         "blow_up_reason": record.blow_up_reason,
-        "scheme": record.scheme,
+        "scheme": sim.scheme,
         "defaults_applied": list(cfg.applied_defaults),
     })
     return EXIT_BLOWUP if record.blown_up else EXIT_OK
@@ -138,7 +129,7 @@ def cmd_simulate(args):
 
 def cmd_couple(args):
     cfg, sim, out = _load(args)
-    _, k, _ = _certify(sim)
+    _, k, _ = solver_mod.certify(sim)
     ax = solver_mod.initial_coeffs(sim)
     ay = solver_mod.initial_coeffs(
         sim, preset=cfg["sim.initial_y"], scale=cfg["sim.initial_y_scale"]
@@ -197,28 +188,32 @@ def cmd_couple(args):
 
 def cmd_ergodic(args):
     cfg, sim, out = _load(args)
-    _, _, verdict = _certify(sim)
-    sample_times = cfg["ensemble.sample_times"] or config_mod.default_sample_times(cfg)
+    _, _, verdict = solver_mod.certify(sim)
     initials = tuple(config_mod.parse_initial(s) for s in cfg["ensemble.initials"])
     window = cfg["ensemble.fit_window"] or None
-    errors = ergodic_mod.window_errors(sample_times, cfg["ensemble.burn_in"], window)
+    try:
+        sample_times = cfg["ensemble.sample_times"] or config_mod.default_sample_times(cfg)
+    except config_mod.ConfigError as exc:
+        errors = exc.errors  # no sample times to check the rest against
+    else:
+        errors = ergodic_mod.window_errors(sample_times, cfg["ensemble.burn_in"], window)
+        try:
+            ens = ergodic_mod.EnsembleConfig(
+                base=sim,
+                n_traj=cfg["ensemble.n_traj"],
+                burn_in=cfg["ensemble.burn_in"],
+                sample_times=sample_times,
+                initial_set=initials,
+                functionals=cfg["ensemble.functionals"],
+            )
+        except ValueError as exc:
+            # EnsembleConfig checks the sample times, default ones included,
+            # against the horizon and the dt grid, and the initial labels
+            errors.insert(0, str(exc))
     errors += _overflow_errors(sim.operator, [
         ("ensemble.initials", label, solver_mod.initial_coeffs(sim, preset, scale))
         for label, (preset, scale) in zip(cfg["ensemble.initials"], initials)
     ])
-    try:
-        ens = ergodic_mod.EnsembleConfig(
-            base=sim,
-            n_traj=cfg["ensemble.n_traj"],
-            burn_in=cfg["ensemble.burn_in"],
-            sample_times=sample_times,
-            initial_set=initials,
-            functionals=cfg["ensemble.functionals"],
-        )
-    except ValueError as exc:
-        # EnsembleConfig checks the sample times, default ones included,
-        # against the horizon and the dt grid
-        errors.insert(0, str(exc))
     if errors:
         raise config_mod.ConfigError(errors)
     report, samples = ergodic_mod.mixing_experiment(

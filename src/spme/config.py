@@ -178,6 +178,15 @@ def parse_config(text):
     )
 
 
+# keys that only some kinds read: (the key naming the kind, the kinds that read it)
+_KIND_KEYS = {
+    "noise.q": ("noise.profile", ("explicit_diagonal",)),
+    "noise.c": ("noise.profile", ("diagonal_power",)),
+    "noise.a": ("noise.profile", ("diagonal_power",)),
+    "model.beta": ("model.phi", ("scaled_identity", "bounded_lipschitz")),
+}
+
+
 def _cross_key_errors(v):
     """Checks that span keys; meaningful only once each key is valid alone."""
     errors = []
@@ -190,6 +199,11 @@ def _cross_key_errors(v):
         )
     if v["model.psi"] == "odd_power" and v["model.alpha"] != 0.0:
         errors.append("model.alpha: odd_power takes no linear coefficient")
+    # like model.alpha above, a key the chosen kind does not read may only
+    # hold its default, which serialize_config writes out too
+    for key, (kind_key, kinds) in _KIND_KEYS.items():
+        if v[key] != SCHEMA[key].default and v[kind_key] not in kinds:
+            errors.append(f"{key}: not read with {kind_key} = {v[kind_key]}")
     dt, t_end = v["sim.dt"], v["sim.t_end"]
     if dt > t_end:
         errors.append("sim.dt: must not exceed sim.t_end")

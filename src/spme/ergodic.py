@@ -46,6 +46,13 @@ class EnsembleConfig:
             raise ValueError("sample_times must be increasing and nonempty")
         if st[0] <= 0 or st[-1] > self.base.t_end:
             raise ValueError("sample_times must lie in (0, t_end]")
+        # run_ensemble keys each preset's samples by its label
+        labels = [_initial_label(*initial) for initial in self.initial_set]
+        if len(labels) < 2 or len(set(labels)) < len(labels):
+            raise ValueError(
+                "ensemble.initials: need at least two distinct presets, got "
+                + ", ".join(labels)
+            )
         # run_batch keeps one snapshot per step, at round(t / dt)
         dt = self.base.dt
         for t0, t1 in zip(st, st[1:]):
@@ -171,9 +178,9 @@ def window_errors(sample_times, burn_in, fit_window=None):
     return errors
 
 
-def _mean_se(x, axis=0):
-    n = x.shape[axis]
-    return np.mean(x, axis=axis), np.std(x, axis=axis, ddof=1) / np.sqrt(n)
+def _mean_se(x):
+    """Mean and standard error over the trajectory axis 0."""
+    return np.mean(x, axis=0), np.std(x, axis=0, ddof=1) / np.sqrt(x.shape[0])
 
 
 def _post_burn_in_mean_se(series, sample_times, burn_in):
@@ -225,8 +232,6 @@ def mixing_experiment(config, exponential=False, fit_window=None):
     started at zero if present, else the first) at the largest sample
     time.
     """
-    if len(config.initial_set) < 2:
-        raise ValueError("need at least two initial presets")
     samples = run_ensemble(config)
     times = samples.sample_times
     labels = list(samples.func_values)

@@ -81,9 +81,7 @@ class NoiseStream:
     """Reproducible Gaussian stream keyed by (master_seed, stream_id)."""
 
     def __init__(self, spec, stream_id=0):
-        self.spec = spec
-        self.stream_id = int(stream_id)
-        bitgen = np.random.Philox(key=[spec.master_seed & (2**64 - 1), self.stream_id])
+        bitgen = np.random.Philox(key=[spec.master_seed & (2**64 - 1), int(stream_id)])
         self._rng = np.random.Generator(bitgen)
 
     def normals(self, shape):

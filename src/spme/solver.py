@@ -17,6 +17,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -46,7 +47,7 @@ class SimConfig:
     t_end: float
     scheme: str = "tamed_em"
     record_every: int = 100
-    initial: object = "e1"
+    initial: str = "e1"
     initial_scale: float = 1.0
     gate_override: bool = False
 
@@ -79,7 +80,6 @@ class TrajectoryRecord:
     h_norms: np.ndarray
     l2_norms: np.ndarray
     lrp1_powers: np.ndarray
-    scheme: str
     final_coeffs: np.ndarray = None
     blown_up: bool = False
     blow_up_time: float = None
@@ -98,7 +98,6 @@ class BatchRecord:
     h_norms: np.ndarray
     l2_norms: np.ndarray
     lrp1_powers: np.ndarray
-    scheme: str
     blown: np.ndarray  # (B,) bool
     blow_up_times: np.ndarray  # (B,), NaN while live
     blow_up_reasons: np.ndarray  # (B,) object, None while live
@@ -110,7 +109,7 @@ class BatchRecord:
     def empty(cls, config, slots, B):
         """All-NaN series with one row per record step in `slots`."""
         series = [np.full((len(slots), B), np.nan) for _ in range(3)]
-        return cls(np.array(list(slots)) * config.dt, *series, config.scheme,
+        return cls(np.array(list(slots)) * config.dt, *series,
                    blown=np.zeros(B, dtype=bool), blow_up_times=np.full(B, np.nan),
                    blow_up_reasons=np.full(B, None, dtype=object))
 
@@ -123,22 +122,21 @@ class BatchRecord:
             return np.concatenate([getattr(rec, name) for rec in records], axis=axis)
 
         return cls(first.times, cat("h_norms", 1), cat("l2_norms", 1),
-                   cat("lrp1_powers", 1), first.scheme, blown=cat("blown", 0),
+                   cat("lrp1_powers", 1), blown=cat("blown", 0),
                    blow_up_times=cat("blow_up_times", 0),
                    blow_up_reasons=cat("blow_up_reasons", 0),
                    final_coeffs=cat("final_coeffs", 0), snapshots=cat("snapshots", 1),
                    snapshot_times=first.snapshot_times)
 
     def record(self, slot, a, operator, r):
-        """Fill one slot of the series from the rows of `a` not yet blown up."""
-        live = ~self.blown
-        if not np.any(live):
-            return
-        x = a[live]
-        vals = operator.synth(x)
-        self.h_norms[slot, live] = operator.h_norm(x)
-        self.l2_norms[slot, live] = operator.l2_norm_spectral(x)
-        self.lrp1_powers[slot, live] = operator.lp_power(vals, r + 1.0)
+        """Fill one slot of the series from the rows of `a`.
+
+        A blown-up row is frozen at NaN, so it writes the NaN its slot holds.
+        """
+        vals = operator.synth(a)
+        self.h_norms[slot] = operator.h_norm(a)
+        self.l2_norms[slot] = operator.l2_norm_spectral(a)
+        self.lrp1_powers[slot] = operator.lp_power(vals, r + 1.0)
 
     def blow_up(self, a, rows, t, reason):
         """Flag the live rows among `rows` (a bool mask) as blown up at time t.
@@ -160,7 +158,6 @@ class BatchRecord:
             h_norms=self.h_norms[:, i],
             l2_norms=self.l2_norms[:, i],
             lrp1_powers=self.lrp1_powers[:, i],
-            scheme=self.scheme,
             final_coeffs=self.final_coeffs[i],
             blown_up=blown,
             blow_up_time=float(self.blow_up_times[i]) if blown else None,
@@ -175,19 +172,16 @@ class BlowUpError(RuntimeError):
 def initial_coeffs(config, preset=None, scale=None):
     """Resolve an initial-data preset into a coefficient vector.
 
-    Presets: "zero", "e1", "band" (fixed band-limited random profile), or
-    an explicit coefficient sequence.  `scale` multiplies the result.
+    Presets: "zero", "e1", "band" (fixed band-limited random profile).
+    `scale` multiplies the result.
     """
     op = config.operator
     preset = config.initial if preset is None else preset
     scale = config.initial_scale if scale is None else scale
-    a = np.zeros(op.n_modes)
-    if not isinstance(preset, str):
-        vals = np.asarray(preset, dtype=float)
-        a[: len(vals)] = vals
-    elif preset not in INITIAL_PRESETS:
+    if preset not in INITIAL_PRESETS:
         raise ValueError(f"unknown initial preset {preset!r}")
-    elif preset == "e1":
+    a = np.zeros(op.n_modes)
+    if preset == "e1":
         a[0] = 1.0
     elif preset == "band":
         rng = np.random.default_rng(12345)
@@ -244,14 +238,16 @@ def nonfinite_rows(a):
     return rows if rows.any() else None
 
 
+def certify(config):
+    """The run's noise trace, certified constants and gate verdict."""
+    trace = noise_mod.trace(config.noise, config.operator)
+    return trace, *certify_constants(config.model, config.operator.eigenvalue(1), trace)
+
+
 def _check_gate(config):
     if config.gate_override:
         return
-    constants, verdict = certify_constants(
-        config.model,
-        config.operator.eigenvalue(1),
-        noise_trace=noise_mod.trace(config.noise, config.operator),
-    )
+    verdict = certify(config)[2]
     if not verdict.passed:
         raise AssumptionError(
             "hypothesis gate failed: " + "; ".join(verdict.reasons)
@@ -259,13 +255,33 @@ def _check_gate(config):
 
 
 def _schedule(config):
-    """Step count and the {step: slot} map of the record steps.
+    """The {step: slot} map of the record steps.
 
-    The record steps are 0, k, 2k, ... (k = record_every) and n_steps.
+    The record steps are 0, k, 2k, ... (k = record_every) and the last step.
     """
-    n_steps = int(round(config.t_end / config.dt))
+    n_steps = round(config.t_end / config.dt)
     steps = [*range(0, n_steps, config.record_every), n_steps]
-    return n_steps, {s: i for i, s in enumerate(steps)}
+    return {s: i for i, s in enumerate(steps)}
+
+
+def _increments(config, streams):
+    """Each step's noise increments, in step order.
+
+    A (B, n_modes) array per step, row j drawn from streams[j] in blocks
+    of _BLOCK steps, or 0.0 when there is no noise.
+    """
+    nspec, n, dt = config.noise, config.operator.n_modes, config.dt
+    n_steps = round(config.t_end / dt)
+    for start in range(0, n_steps, _BLOCK):
+        count = min(_BLOCK, n_steps - start)
+        if nspec.is_zero:
+            yield from repeat(0.0, count)
+            continue
+        dW = np.empty((len(streams), count, n))
+        for j, stream in enumerate(streams):
+            dW[j] = noise_mod.sample_increment_block(nspec, n, dt, stream, count)
+        for k in range(count):
+            yield dW[:, k, :]
 
 
 def _shard_count(B):
@@ -315,11 +331,10 @@ def run_batch(config, streams, a0, snapshot_times=()):
 
 def _integrate(config, streams, a0, snapshot_times):
     """run_batch's loop over the rows of a0, without the gate check."""
-    op, mdl, nspec = config.operator, config.model, config.noise
-    dt = config.dt
+    op, mdl, dt = config.operator, config.model, config.dt
     a = np.array(a0, dtype=float)
     B, n = a.shape
-    n_steps, slots = _schedule(config)
+    slots = _schedule(config)
     snap_steps = [int(round(t / dt)) for t in snapshot_times]
     snap_slots = {s: i for i, s in enumerate(snap_steps)}
     rec = BatchRecord.empty(config, slots, B)
@@ -330,30 +345,18 @@ def _integrate(config, streams, a0, snapshot_times):
         if step_idx in slots:
             rec.record(slots[step_idx], a, op, mdl.r)
         if step_idx in snap_slots:
-            live = ~rec.blown
-            rec.snapshots[snap_slots[step_idx]][live] = a[live]
+            rec.snapshots[snap_slots[step_idx]] = a
 
     observe(0)
-    step_idx = 0
-    while step_idx < n_steps:
-        count = min(_BLOCK, n_steps - step_idx)
-        if nspec.is_zero:
-            dW = None
-        else:
-            dW = np.empty((B, count, n))
-            for j, stream in enumerate(streams):
-                dW[j] = noise_mod.sample_increment_block(nspec, n, dt, stream, count)
-        for k in range(count):
-            step_idx += 1
-            inc = 0.0 if dW is None else dW[:, k, :]
-            a, unstable = step(a, dt, inc, config.scheme, mdl, op)
-            t = step_idx * dt
-            if unstable is not None and unstable.any():
-                rec.blow_up(a, unstable, t, "stability guard violated")
-            bad = nonfinite_rows(a)
-            if bad is not None:
-                rec.blow_up(a, bad, t, "non-finite state")
-            observe(step_idx)
+    for step_idx, inc in enumerate(_increments(config, streams), start=1):
+        a, unstable = step(a, dt, inc, config.scheme, mdl, op)
+        t = step_idx * dt
+        if unstable is not None and unstable.any():
+            rec.blow_up(a, unstable, t, "stability guard violated")
+        bad = nonfinite_rows(a)
+        if bad is not None:
+            rec.blow_up(a, bad, t, "non-finite state")
+        observe(step_idx)
 
     rec.final_coeffs = a.copy()
     return rec
@@ -366,8 +369,8 @@ def simulate(config):
     return run_batch(config, streams, a0).row(0)
 
 
-def coupled_simulate(config, initial_x, initial_y, stream=None):
-    """Two trajectories driven by the identical noise path.
+def coupled_simulate(config, initial_x, initial_y):
+    """Two trajectories driven by the identical noise path, stream id 0.
 
     initial_x and initial_y are coefficient vectors of length n_modes.
     Returns (record_x, record_y, h_distance_series).  The distance is
@@ -375,15 +378,12 @@ def coupled_simulate(config, initial_x, initial_y, stream=None):
     trajectory blows up, both stop at that step.
     """
     _check_gate(config)
-    op, mdl, nspec = config.operator, config.model, config.noise
-    dt = config.dt
+    op, mdl, dt = config.operator, config.model, config.dt
     a = np.array([initial_x, initial_y], dtype=float)
-    n = op.n_modes
-    n_steps, slots = _schedule(config)
+    slots = _schedule(config)
     rec = BatchRecord.empty(config, slots, 2)
     dist = np.full(len(slots), np.nan)
-    if not nspec.is_zero and stream is None:
-        stream = noise_mod.NoiseStream(nspec)
+    streams = None if config.noise.is_zero else [noise_mod.NoiseStream(config.noise)]
     both = np.ones(2, dtype=bool)
 
     def observe(step_idx):
@@ -392,28 +392,19 @@ def coupled_simulate(config, initial_x, initial_y, stream=None):
             dist[slots[step_idx]] = op.h_norm(a[0] - a[1])
 
     observe(0)
-    step_idx = 0
-    while step_idx < n_steps and not rec.blown[0]:
-        count = min(_BLOCK, n_steps - step_idx)
-        dW = (
-            None
-            if nspec.is_zero
-            else noise_mod.sample_increment_block(nspec, n, dt, stream, count)
-        )
-        for k in range(count):
-            step_idx += 1
-            inc = 0.0 if dW is None else dW[k]
-            # one row at a time: couple.csv pins the rounding of the 0-d sup|Psi'|
-            a[0], ux = step(a[0], dt, inc, config.scheme, mdl, op)
-            a[1], uy = step(a[1], dt, inc, config.scheme, mdl, op)
-            t = step_idx * dt
-            if ux or uy:
-                rec.blow_up(a, both, t, "stability guard violated")
-            elif nonfinite_rows(a) is not None:
-                rec.blow_up(a, both, t, "non-finite state")
-            if rec.blown[0]:
-                break
-            observe(step_idx)
+    for step_idx, inc in enumerate(_increments(config, streams), start=1):
+        inc = 0.0 if streams is None else inc[0]
+        # one row at a time: couple.csv pins the rounding of the 0-d sup|Psi'|
+        a[0], ux = step(a[0], dt, inc, config.scheme, mdl, op)
+        a[1], uy = step(a[1], dt, inc, config.scheme, mdl, op)
+        t = step_idx * dt
+        if ux or uy:
+            rec.blow_up(a, both, t, "stability guard violated")
+        elif nonfinite_rows(a) is not None:
+            rec.blow_up(a, both, t, "non-finite state")
+        if rec.blown[0]:
+            break
+        observe(step_idx)
 
     rec.final_coeffs = a.copy()
     return rec.row(0), rec.row(1), dist

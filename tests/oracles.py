@@ -24,8 +24,10 @@ class OracleCase:
 
 
 def eigenfunction_values(op, k, grid=None):
-    """Point values of e_k(x) = sqrt(2) sin(k pi x), on op's nodes by default."""
-    x = op.nodes if grid is None else np.asarray(grid, dtype=float)
+    """Point values of e_k(x) = sqrt(2) sin(k pi x), on op's midpoint grid by default."""
+    if grid is None:
+        grid = (np.arange(op.grid_size) + 0.5) / op.grid_size
+    x = np.asarray(grid, dtype=float)
     return np.sqrt(2.0) * np.sin(k * np.pi * x)
 
 

@@ -119,8 +119,7 @@ def coupled_run(model, n, grid, dt, t_end, record_every, seed=7):
     x0 = np.zeros(n)
     x0[0] = 1.0
     k, verdict = certify_constants(model, op.eigenvalue(1), trace(nz, op))
-    rx, ry, dist = coupled_simulate(cfg, initial_x=x0, initial_y=-x0,
-                                    stream=NoiseStream(nz))
+    rx, ry, dist = coupled_simulate(cfg, initial_x=x0, initial_y=-x0)
     params = BoundParams(r=model.r, eta=k.eta, theta=k.theta, sigma=k.sigma,
                          delta=k.delta, lambda_1=op.eigenvalue(1))
     return rx.times, dist, params, op.h_norm(2 * x0)

@@ -6,7 +6,7 @@ import scipy.fft
 
 import oracles
 from spme import basis
-from spme.basis import OperatorSpec, dirichlet_laplacian
+from spme.basis import OperatorSpec
 
 TRANSFORM_SHAPES = [(1, 512), (512,), (2, 256), (500, 256)]
 
@@ -138,13 +138,6 @@ def test_apply_l_inverse_identity(op):
 def test_dealiasing_policy(op):
     assert op.dealiasing_ok(3.0)  # 128 >= 2*4*16
     assert not op.dealiasing_ok(3.5)
-
-
-def test_dirichlet_laplacian_default_grid():
-    built = dirichlet_laplacian(16, r=3.0)
-    assert built.grid_size == 128
-    assert built.grid_size >= 2 * 4 * built.n_modes
-    assert (built.grid_size & (built.grid_size - 1)) == 0
 
 
 def test_constructor_validation():

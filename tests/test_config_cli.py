@@ -237,6 +237,15 @@ SMALL_ENSEMBLE = "ensemble.n_traj = 8\nensemble.burn_in = 0.1\n"
          "sim.initial_scale: the initial H-norm overflows at sim.initial_scale = 1e+200"),
         ("ergodic", "ensemble.initials = zero,1e200*e1\n" + SMALL_ENSEMBLE, 1,
          "ensemble.initials: the initial H-norm overflows at 1e200*e1"),
+        # two labels for one preset would collapse their ensembles into one
+        ("ergodic", "ensemble.initials = e1,1.0*e1\n" + SMALL_ENSEMBLE, 1,
+         "ensemble.initials: need at least two distinct presets, got e1, e1"),
+        ("ergodic", "ensemble.initials = zero,e1,1*e1\n" + SMALL_ENSEMBLE, 1,
+         "ensemble.initials: need at least two distinct presets, got zero, e1, e1"),
+        # a key that the chosen kind does not read
+        ("simulate", "noise.q = 5,5,5\n", 1,
+         "noise.q: not read with noise.profile = diagonal_power"),
+        ("verify", "model.beta = 0.5\n", 1, "model.beta: not read with model.phi = zero"),
     ],
     ids=[
         "couple-gate", "ergodic-gate", "ergodic-blow-up", "grid-below-modes",
@@ -247,6 +256,8 @@ SMALL_ENSEMBLE = "ensemble.n_traj = 8\nensemble.burn_in = 0.1\n"
         "thin-fit-window", "horizon-below-sample-floor", "couple-eta-not-above-theta",
         "couple-initial-norm-overflow", "couple-initial-distance-overflow",
         "simulate-initial-norm-overflow", "ergodic-initial-norm-overflow",
+        "repeated-initial", "repeated-initial-of-three", "q-under-diagonal-power",
+        "beta-under-zero-phi",
     ],
 )
 def test_failure_exit_codes(tmp_path, capsys, command, extra, code, message):
@@ -267,3 +278,12 @@ def test_ergodic_window_errors_reported_together(tmp_path, capsys):
     assert "ensemble.burn_in: no sample time after 1" in err
     assert ("ensemble.fit_window (default: the later half of the sample times): "
             "[0.1, 0.2] holds 2 sample times") in err
+
+
+def test_ergodic_sample_time_floor_reported_with_other_errors(tmp_path, capsys):
+    text = BASE + "sim.t_end = 0.005\nensemble.initials = zero,1e200*e1\n" + SMALL_ENSEMBLE
+    cfg = write(tmp_path, text)
+    assert main(["ergodic", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "sim.t_end: 0.005 is not past 10*sim.dt = 0.01" in err
+    assert "ensemble.initials: the initial H-norm overflows at 1e200*e1" in err

@@ -167,3 +167,9 @@ def test_config_validation():
         EnsembleConfig(base=cfg.base, n_traj=4, sample_times=(0.1, 0.1002, 0.5))
     # off-grid times inside the horizon stay allowed
     EnsembleConfig(base=cfg.base, n_traj=4, sample_times=(0.00012, 0.5))
+    # one preset, or two labels for one preset, leave fewer ensembles than given
+    for initials in ((("e1", 1.0),), (("e1", 1.0), ("e1", 1.0)),
+                     (("zero", 1.0), ("e1", 2.0), ("e1", 2.0))):
+        with pytest.raises(ValueError, match="need at least two distinct presets"):
+            EnsembleConfig(base=cfg.base, n_traj=4, sample_times=(0.1, 0.5),
+                           initial_set=initials)

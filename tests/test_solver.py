@@ -103,8 +103,6 @@ def test_initial_presets():
     assert initial_coeffs(cfg, "zero", 1.0).sum() == 0.0
     e1 = initial_coeffs(cfg, "e1", 2.5)
     assert e1[0] == 2.5 and not np.any(e1[1:])
-    explicit = initial_coeffs(cfg, [0.5, -0.5], 2.0)
-    assert np.allclose(explicit[:2], [1.0, -1.0]) and not np.any(explicit[2:])
     band = initial_coeffs(cfg, "band", 1.0)
     assert np.array_equal(band, initial_coeffs(cfg, "band", 1.0))
     with pytest.raises(ValueError):
@@ -204,7 +202,6 @@ def test_sharded_run_batch_is_bit_identical(monkeypatch):
             assert getattr(rec, name).shape == getattr(whole, name).shape
             assert getattr(rec, name).tobytes() == getattr(whole, name).tobytes(), name
         assert rec.blow_up_reasons.tolist() == whole.blow_up_reasons.tolist()
-        assert rec.scheme == whole.scheme
 
 
 def test_nonfinite_rows():
@@ -246,8 +243,7 @@ def test_coupled_distance_monotone_and_bounded():
                     record_every=1)
     x0 = np.zeros(16)
     x0[0] = 1.0
-    rx, ry, dist = coupled_simulate(cfg, initial_x=x0, initial_y=-x0,
-                                    stream=NoiseStream(nz))
+    rx, ry, dist = coupled_simulate(cfg, initial_x=x0, initial_y=-x0)
     assert dist[0] == pytest.approx(2.0 / np.pi)
     assert np.all(np.diff(dist) <= 1e-9 * (1.0 + dist[:-1]))
     k, _ = certify_constants(CUBIC, op.eigenvalue(1), trace(nz, op))
