@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,19 @@ def _f(x):
 def _write(path, text):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
+
+
+def _write_csv(path, header, rows):
+    """A CSV of `header` and `rows`; numeric cells are printed with _f."""
+    lines = [header]
+    lines += [",".join(c if isinstance(c, str) else _f(c) for c in row) for row in rows]
+    _write(path, "\n".join(lines) + "\n")
+
+
+def _finite_prefix(series):
+    """How many leading entries of `series` are finite: the rows recorded before a blow-up."""
+    bad = np.flatnonzero(~np.isfinite(series))
+    return int(bad[0]) if len(bad) else len(series)
 
 
 def _write_meta(out, command, meta):
@@ -76,14 +90,9 @@ def cmd_verify(args):
     cfg, sim, out = _load(args)
     trace, k, verdict = solver_mod.certify(sim)
     gate = "pass" if verdict.passed else "fail"
-    rows = [
-        "eta,sigma,theta,delta,kappa,c,c1,c2,trace_q,gate",
-        ",".join(
-            [_f(k.eta), _f(k.sigma), _f(k.theta), _f(k.delta), _f(k.kappa),
-             _f(k.c), _f(k.c1), _f(k.c2), _f(trace), gate]
-        ),
-    ]
-    _write(out / "verify.csv", "\n".join(rows) + "\n")
+    _write_csv(out / "verify.csv", "eta,sigma,theta,delta,kappa,c,c1,c2,trace_q,gate", [
+        (k.eta, k.sigma, k.theta, k.delta, k.kappa, k.c, k.c1, k.c2, trace, gate)
+    ])
     _write_meta(out, "verify", {
         "gate": gate,
         "exponential_regime": verdict.exponential_regime,
@@ -91,21 +100,6 @@ def cmd_verify(args):
         "defaults_applied": list(cfg.applied_defaults),
     })
     return EXIT_OK if verdict.passed else EXIT_GATE
-
-
-def _write_trajectory_csv(path, record):
-    header = "t,h_norm,l2_norm,lrp1_power"
-    lines = [header]
-    for i, t in enumerate(record.times):
-        if not np.isfinite(record.h_norms[i]):
-            break
-        lines.append(
-            ",".join(
-                [_f(t), _f(record.h_norms[i]), _f(record.l2_norms[i]),
-                 _f(record.lrp1_powers[i])]
-            )
-        )
-    _write(path, "\n".join(lines) + "\n")
 
 
 def cmd_simulate(args):
@@ -116,7 +110,10 @@ def cmd_simulate(args):
     if errors:
         raise config_mod.ConfigError(errors)
     record = solver_mod.simulate(sim)
-    _write_trajectory_csv(out / "simulate.csv", record)
+    kept = _finite_prefix(record.h_norms)
+    _write_csv(out / "simulate.csv", "t,h_norm,l2_norm,lrp1_power", zip(
+        record.times[:kept], record.h_norms[:kept], record.l2_norms[:kept],
+        record.lrp1_powers[:kept]))
     _write_meta(out, "simulate", {
         "blown_up": record.blown_up,
         "blow_up_time": None if record.blow_up_time is None else _f(record.blow_up_time),
@@ -161,19 +158,12 @@ def cmd_couple(args):
     bound_exp = (
         bounds_mod.exponential_bound(z0, rec_x.times, params) if exponential else None
     )
-    lines = ["t,dist_h,bound_poly,bound_exp"]
-    violated = False
-    for i, t in enumerate(rec_x.times):
-        if not np.isfinite(dist[i]):
-            break
-        be = "" if bound_exp is None else _f(bound_exp[i])
-        lines.append(",".join([_f(t), _f(dist[i]), _f(bound_poly[i]), be]))
-        limit = bound_poly[i]
-        if bound_exp is not None:
-            limit = min(limit, bound_exp[i])
-        if dist[i] > BOUND_SLACK * limit + 1e-12:
-            violated = True
-    _write(out / "couple.csv", "\n".join(lines) + "\n")
+    limit = bound_poly if bound_exp is None else np.minimum(bound_poly, bound_exp)
+    kept = _finite_prefix(dist)
+    violated = bool(np.any(dist[:kept] > BOUND_SLACK * limit[:kept] + 1e-12))
+    _write_csv(out / "couple.csv", "t,dist_h,bound_poly,bound_exp", zip(
+        rec_x.times[:kept], dist[:kept], bound_poly[:kept],
+        repeat("") if bound_exp is None else bound_exp[:kept]))
     _write_meta(out, "couple", {
         "z0": _f(z0),
         "bound_violated": violated,
@@ -219,16 +209,13 @@ def cmd_ergodic(args):
     report, samples = ergodic_mod.mixing_experiment(
         ens, exponential=verdict.exponential_regime, fit_window=window
     )
-    lines = ["t,functional,initial,ptf_estimate,std_err,mixing_gap"]
-    for name in samples.functionals:
-        for label in samples.func_values:
-            mean, se = report.ptf[(name, label)]
-            gap = report.mixing_series[(name, label)]
-            for i, t in enumerate(report.sample_times):
-                lines.append(
-                    ",".join([_f(t), name, label, _f(mean[i]), _f(se[i]), _f(gap[i])])
-                )
-    _write(out / "ergodic.csv", "\n".join(lines) + "\n")
+    _write_csv(out / "ergodic.csv", "t,functional,initial,ptf_estimate,std_err,mixing_gap", [
+        (t, name, label, mean, se, gap)
+        for name in samples.functionals
+        for label in samples.func_values
+        for t, mean, se, gap in zip(report.sample_times, *report.ptf[(name, label)],
+                                    report.mixing_series[(name, label)])
+    ])
     mom_mean, mom_se, _ = report.moment_estimate
     _write_meta(out, "ergodic", {
         "fit_kind": report.fit_kind,
@@ -250,9 +237,9 @@ def cmd_ergodic(args):
     return EXIT_OK
 
 
-def emit_report(out):
+def cmd_report(args):
     """Build the machine-readable index and a human summary for a run dir."""
-    out = Path(out)
+    out = Path(args.out)
     artifacts = sorted(
         p.name
         for p in out.iterdir()
@@ -280,10 +267,6 @@ def emit_report(out):
     _write(out / "index.json", json.dumps(index, sort_keys=True, indent=1) + "\n")
     _write(out / "summary.txt", "\n".join(summary) + "\n")
     return EXIT_OK
-
-
-def cmd_report(args):
-    return emit_report(args.out)
 
 
 def main(argv=None):

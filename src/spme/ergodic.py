@@ -18,13 +18,13 @@ from .solver import BlowUpError, SimConfig, initial_coeffs, run_batch
 
 
 # Test functionals F(coeffs, operator) on H.  Each is 1-Lipschitz in the
-# H-norm: |a_1| / sqrt(lambda_1) <= ||x||_H, and tanh and the clip at 1e6
-# (which keeps coord_1 bounded on all of H) are contractions.
+# H-norm: |a_1| / sqrt(lambda_1) <= ||x||_H, and tanh and the clip to
+# [-1e6, 1e6] (which keeps coord_1 bounded on all of H) are contractions.
 BUILTIN_FUNCTIONALS = {
     "h_norm": lambda coeffs, op: op.h_norm(coeffs),
     "tanh_h_norm": lambda coeffs, op: np.tanh(op.h_norm(coeffs)),
-    "coord_1": lambda coeffs, op: np.minimum(
-        coeffs[..., 0] / np.sqrt(op.eigenvalues[0]), 1e6
+    "coord_1": lambda coeffs, op: np.clip(
+        coeffs[..., 0] / np.sqrt(op.eigenvalues[0]), -1e6, 1e6
     ),
 }
 

@@ -141,7 +141,10 @@ class BatchRecord:
     def blow_up(self, a, rows, t, reason):
         """Flag the live rows among `rows` (a bool mask) as blown up at time t.
 
-        Their coefficients in the state `a` are frozen at NaN.
+        Their coefficients in the state `a` are frozen at NaN.  Returns
+        True once every row has blown up: the integrators stop there, as
+        the rest of the run would only step NaN, and the record slots and
+        snapshots it would fill already hold NaN.
         """
         rows = rows & ~self.blown
         if np.any(rows):
@@ -149,6 +152,7 @@ class BatchRecord:
             self.blow_up_times[rows] = t
             self.blow_up_reasons[rows] = reason
             a[rows] = np.nan
+        return self.blown.all()
 
     def row(self, i):
         """Trajectory i's record; its series are views into this batch's."""
@@ -302,8 +306,9 @@ def run_batch(config, streams, a0, snapshot_times=()):
 
     a0 has shape (B, n_modes); streams is a length-B list (or None for
     zero noise).  Blown-up trajectories are frozen at NaN and flagged,
-    the rest continue.  The coefficients at each of `snapshot_times`
-    (rounded to a step) are kept in the record's `snapshots`.
+    the rest continue; a shard stops once all its rows have blown up.
+    The coefficients at each of `snapshot_times` (rounded to a step) are
+    kept in the record's `snapshots`.
 
     Large batches are split into contiguous row shards that are stepped
     on threads at once: the transforms, the Philox draws and the numpy
@@ -353,9 +358,9 @@ def _integrate(config, streams, a0, snapshot_times):
         t = step_idx * dt
         if unstable is not None and unstable.any():
             rec.blow_up(a, unstable, t, "stability guard violated")
-        bad = nonfinite_rows(a)
-        if bad is not None:
-            rec.blow_up(a, bad, t, "non-finite state")
+        bad = nonfinite_rows(a)  # holds the rows just frozen at NaN too
+        if bad is not None and rec.blow_up(a, bad, t, "non-finite state"):
+            break
         observe(step_idx)
 
     rec.final_coeffs = a.copy()
@@ -398,11 +403,9 @@ def coupled_simulate(config, initial_x, initial_y):
         a[0], ux = step(a[0], dt, inc, config.scheme, mdl, op)
         a[1], uy = step(a[1], dt, inc, config.scheme, mdl, op)
         t = step_idx * dt
-        if ux or uy:
-            rec.blow_up(a, both, t, "stability guard violated")
-        elif nonfinite_rows(a) is not None:
-            rec.blow_up(a, both, t, "non-finite state")
-        if rec.blown[0]:
+        if (ux or uy) and rec.blow_up(a, both, t, "stability guard violated"):
+            break
+        if nonfinite_rows(a) is not None and rec.blow_up(a, both, t, "non-finite state"):
             break
         observe(step_idx)
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from spme import bounds
 from spme.cli import main
 from spme.config import (
     ConfigError,
@@ -133,6 +134,13 @@ def test_simulate_blow_up_exit_4(tmp_path):
     meta = json.loads((out / "simulate_meta.json").read_text())
     assert meta["blown_up"] is True
     assert meta["blow_up_time"] is not None
+    # the rows recorded before the blow-up, out of the record times 0, 0.1, 0.2
+    rows = (out / "simulate.csv").read_text().splitlines()
+    assert rows[0] == "t,h_norm,l2_norm,lrp1_power"
+    blow_up_time = float(meta["blow_up_time"])
+    assert [float(row.split(",")[0]) for row in rows[1:]] == [
+        t for t in (0.0, 0.1, 0.2) if t < blow_up_time
+    ]
 
 
 def test_couple_subcommand(tmp_path):
@@ -146,6 +154,32 @@ def test_couple_subcommand(tmp_path):
     assert float(first[1]) == pytest.approx(2.0 / np.pi, rel=1e-12)
     meta = json.loads((out / "couple_meta.json").read_text())
     assert meta["bound_violated"] is False
+
+
+def _halve(monkeypatch, name):
+    envelope = getattr(bounds, name)
+    monkeypatch.setattr(bounds, name, lambda *args: 0.5 * envelope(*args))
+
+
+@pytest.mark.parametrize("envelope, extra", [
+    ("contraction_bound", ""),
+    ("exponential_bound", "model.psi = linear_plus_odd_power\nmodel.alpha = 0.5\n"),
+])
+def test_couple_bound_violation_exit_3(tmp_path, monkeypatch, envelope, extra):
+    _halve(monkeypatch, envelope)
+    cfg = write(tmp_path, BASE + "sim.initial_y = e1\nsim.initial_y_scale = -1.0\n" + extra)
+    out = tmp_path / "out"
+    assert main(["couple", "--config", cfg, "--out", str(out)]) == 3
+    meta = json.loads((out / "couple_meta.json").read_text())
+    assert meta["bound_violated"] is True and meta["blown_up"] is False
+    rows = [row.split(",") for row in (out / "couple.csv").read_text().splitlines()[1:]]
+    assert [float(row[0]) for row in rows] == pytest.approx(np.arange(11) * 0.02)
+    exponential = envelope == "exponential_bound"
+    assert meta["exponential_regime"] is exponential
+    assert all(row[3] != "" for row in rows) == exponential
+    # with bound_exp halved, dist stays within bound_poly: only their minimum is exceeded
+    dist, poly = (np.array([float(row[i]) for row in rows]) for i in (1, 2))
+    assert np.all(dist <= 1.1 * poly + 1e-12) == exponential
 
 
 def test_ergodic_subcommand(tmp_path):

@@ -147,6 +147,11 @@ def test_functional_lipschitz_declarations():
         x, y = rng.standard_normal((2, 4))
         lhs = abs(fn(x, op) - fn(y, op))
         assert lhs <= 1.0 * op.h_norm(x - y) + 1e-12
+    # every builtin functional but h_norm itself is bounded on all of H
+    far = 1e12 * np.sqrt(op.eigenvalues[0]) * np.eye(4)[0]
+    assert abs(BUILTIN_FUNCTIONALS["tanh_h_norm"](-far, op)) <= 1.0
+    assert BUILTIN_FUNCTIONALS["coord_1"](far, op) == 1e6
+    assert BUILTIN_FUNCTIONALS["coord_1"](-far, op) == -1e6
 
 
 def test_config_validation():

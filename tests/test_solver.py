@@ -120,6 +120,47 @@ def test_explicit_blow_up_flagged():
     assert np.isnan(rec.h_norms[-1])
 
 
+def test_fully_blown_run_stops(monkeypatch):
+    # every row is NaN after step 1, so the other 9,999 steps are not taken
+    cfg = make_config(scheme="explicit_em", dt=5e-3, t_end=50.0,
+                      initial_scale=5.0, gate_override=True)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(solver, "step", spy)
+    rec = simulate(cfg)
+    assert len(calls) == 1
+    assert rec.blow_up_time == 5e-3
+    assert rec.blow_up_reason == "stability guard violated"
+    assert np.all(np.isnan(rec.final_coeffs))
+    assert np.isfinite(rec.h_norms[0]) and np.all(np.isnan(rec.h_norms[1:]))
+
+
+def test_blown_shard_stops_alone(monkeypatch):
+    # both rows of shard 1 trip the explicit-EM guard at step 1; shard 0,
+    # on the calling thread, still runs all 1,000 steps to t_end
+    cfg = make_config(scheme="explicit_em", dt=1e-5, t_end=0.01, gate_override=True)
+    a0 = np.zeros((4, 16))
+    a0[:, 0] = (0.1, 0.2, 50.0, 60.0)
+    threads = []
+
+    def spy(*args):
+        threads.append(threading.get_ident())
+        return step(*args)
+
+    monkeypatch.setattr(solver, "step", spy)
+    monkeypatch.setattr(solver, "_shard_count", lambda B: 2)
+    rec = run_batch(cfg, None, a0)
+    assert threads.count(threading.get_ident()) == 1000 and len(threads) == 1001
+    assert rec.blown.tolist() == [False, False, True, True]
+    assert np.all(np.isfinite(rec.final_coeffs[:2])) and np.all(np.isfinite(rec.h_norms[:, :2]))
+    assert np.all(np.isnan(rec.final_coeffs[2:])) and np.all(np.isnan(rec.h_norms[1:, 2:]))
+    assert rec.times[-1] == pytest.approx(0.01)
+
+
 def test_coupled_explicit_guard_matches_single_run():
     # the pair stops at the same guard violation as the single trajectory
     cfg = make_config(scheme="explicit_em", dt=5e-3, t_end=0.05,
