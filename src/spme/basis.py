@@ -8,16 +8,43 @@ Both representations and all norms here are exact up to rounding for
 band-limited fields; the only quadrature is the composite midpoint rule.
 """
 
+import importlib.util
+import os
 from dataclasses import dataclass, field
+from importlib.machinery import PathFinder
 
 import numpy as np
+
+
+def _load_pocketfft():
+    """scipy's compiled pocketfft binding, loaded from its file.
+
+    `from scipy.fft._pocketfft.pypocketfft import dst` would first run the
+    `__init__` of scipy and scipy.fft, which import scipy's array-API layer
+    and scipy.special: about 0.26 s at every start-up, for an extension that
+    loads in under a millisecond.  Loading the file directly skips those
+    packages, imports nothing into `sys.modules` and gives the same function.
+    scipy stays a runtime dependency, for this compiled kernel.
+    """
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("scipy is not installed; spme needs its pocketfft extension")
+    dirs = [os.path.join(d, "fft", "_pocketfft") for d in scipy_spec.submodule_search_locations]
+    spec = PathFinder.find_spec("pypocketfft", dirs)
+    if spec is None:
+        raise ImportError(f"scipy's pypocketfft extension not found in {os.pathsep.join(dirs)}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 # The pocketfft binding that scipy.fft.dst ends in.  Calling it directly,
 # positionally as dst(x, type, axes, inorm, out, nthreads, ortho), skips
 # the backend dispatch and argument handling paid on every call, which
 # on a single 512-point row cost about as much as the transform itself.
-# tests/test_basis.py pins its output to scipy.fft.dst's, byte for byte.
-from scipy.fft._pocketfft.pypocketfft import dst
+# tests/test_basis.py pins its output to scipy.fft.dst's, byte for byte,
+# and tests/test_imports.py checks that spme imports no scipy package.
+dst = _load_pocketfft().dst
 
 _SYNTH_SCALE = np.sqrt(2.0) / 2.0
 

@@ -1,5 +1,7 @@
 """Spectral transforms, norms and the dealiasing policy."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -68,6 +70,12 @@ def test_dst_kernel_is_scipy_fft_dst(shape, kind):
     buf = x.copy()
     assert basis.dst(buf, kind, (-1,), 0, buf, 1, None) is buf
     assert buf.tobytes() == want.tobytes()
+
+
+def test_missing_pocketfft_extension_names_the_directory(monkeypatch):
+    monkeypatch.setattr(basis, "PathFinder", SimpleNamespace(find_spec=lambda name, path: None))
+    with pytest.raises(ImportError, match="pypocketfft.*_pocketfft"):
+        basis._load_pocketfft()
 
 
 @pytest.mark.parametrize("shape", TRANSFORM_SHAPES)

@@ -93,6 +93,16 @@ def test_verify_subcommand(tmp_path):
     assert meta["gate"] == "pass"
 
 
+def test_verify_passes_at_huge_decay_exponent(tmp_path):
+    # scipy's zeta is NaN for 2a+2 above about 2.5e13; the trace is c^2/pi^2
+    cfg = write(tmp_path, BASE.replace("noise.a = 1.0", "noise.a = 1e15"))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    fields = (out / "verify.csv").read_text().splitlines()[1].split(",")
+    assert float(fields[-2]) == 0.2**2 / np.pi**2
+    assert fields[-1] == "pass"
+
+
 def test_verify_gate_failure_exit_2(tmp_path):
     cfg = write(tmp_path, BASE + "model.phi = scaled_identity\nmodel.beta = 0.5\n")
     out = tmp_path / "out"

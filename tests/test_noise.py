@@ -2,14 +2,20 @@
 
 import numpy as np
 import pytest
+import scipy.special
 
 from spme.basis import OperatorSpec
 from spme.noise import (
     NoiseSpec,
     NoiseStream,
+    _hurwitz_zeta,
     sample_increment_block,
     trace,
 )
+
+# above about a = 1.3e13 scipy's zeta (cephes) overflows its remainder
+# product into inf * 0 and returns NaN; the exact value there is 0.0
+NAN_BAND = [2e13, 1e15, 1e20, 1e300, 1e308]
 
 
 @pytest.fixture
@@ -37,6 +43,53 @@ def test_trace_tail_completion(op):
     # independent of truncation level once the tail is completed
     big = OperatorSpec(n_modes=64, grid_size=256)
     assert trace(spec, op) == pytest.approx(trace(spec, big), abs=1e-12)
+
+
+def test_hurwitz_zeta_is_scipy_zeta_bit_for_bit():
+    rng = np.random.default_rng(3)
+    a_grid = np.concatenate([
+        np.linspace(0.0, 6.0, 121),
+        rng.uniform(0.0, 50.0, 40),
+        10.0 ** np.linspace(-3.0, 13.0, 49),
+        [0.5, 1.0, 2.5, 299.5, 300.0, 1e13],
+    ])
+    n_grid = np.unique(np.concatenate([np.arange(1, 41), np.geomspace(41, 4096, 30).astype(int)]))
+    x = 2 * a_grid[:, None] + 2
+    q = n_grid[None, :] + 1.0
+    want = scipy.special.zeta(x, q)
+    assert np.all(np.isfinite(want))
+    got = np.array([[_hurwitz_zeta(float(xi), float(qj)) for qj in q[0]] for xi in x[:, 0]])
+    assert got.tobytes() == want.tobytes()
+    for xi in (2.0, 2.5, 4.0, 7.3):  # the q > 1e8 asymptotic branch
+        assert _hurwitz_zeta(xi, 2.5e8) == scipy.special.zeta(xi, 2.5e8)
+
+
+@pytest.mark.parametrize("a", NAN_BAND)
+def test_hurwitz_zeta_returns_zero_where_scipy_gives_nan(a):
+    for n in (1, 8, 4096):
+        assert np.isnan(scipy.special.zeta(2 * a + 2, n + 1))
+        assert _hurwitz_zeta(2 * a + 2, n + 1.0) == 0.0
+
+
+def test_trace_at_huge_decay_exponent_is_the_head_sum(op):
+    # only q_1 = c is nonzero, so the trace is c^2/pi^2, not NaN
+    spec = NoiseSpec(profile="diagonal_power", c=0.2, a=1e15)
+    head = float(np.sum(spec.q_vector(op.n_modes) ** 2 / op.eigenvalues))
+    assert trace(spec, op) == head == 0.2**2 / np.pi**2
+
+
+@pytest.mark.parametrize("profile, c, a, n_modes", [
+    ("zero", 0.0, 0.0, 64),  # decay
+    ("diagonal_power", 0.2, 1.0, 32),  # couple
+    ("diagonal_power", 0.03, 1.0, 32),  # mixing
+])
+def test_trace_bytes_at_benchmark_configs(profile, c, a, n_modes):
+    spec = NoiseSpec(profile=profile, c=c, a=a)
+    big = OperatorSpec(n_modes=n_modes, grid_size=8 * n_modes)
+    want = float(np.sum(spec.q_vector(n_modes) ** 2 / big.eigenvalues))
+    if c > 0:
+        want += c**2 / np.pi**2 * float(scipy.special.zeta(2 * a + 2, n_modes + 1))
+    assert trace(spec, big).hex() == want.hex()
 
 
 def test_trace_explicit_diagonal(op):
