@@ -16,7 +16,7 @@ supported throughout, with per-trajectory noise streams.
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -26,7 +26,9 @@ from .model import AssumptionError, certify_constants
 
 SCHEMES = ("explicit_em", "tamed_em")
 INITIAL_PRESETS = ("zero", "e1", "band")
-_BLOCK = 256  # noise increments are buffered in blocks of this many steps
+# noise increments are buffered in blocks of this many steps, and the
+# record queues at most this many rows before it takes their norms
+_BLOCK = 256
 
 # explicit Euler is only trusted while dt <= GUARD_FRACTION / (lambda_n * (1 + max|Psi'|))
 GUARD_FRACTION = 0.1
@@ -90,8 +92,9 @@ class TrajectoryRecord:
 class BatchRecord:
     """Recorded series of a batch of trajectories (T, B).
 
-    The integrators fill it in place: `record` at each record step and
-    `blow_up` when rows leave the run.  `row(i)` is trajectory i's record.
+    The integrators fill it in place: `record` at each record step,
+    `blow_up` when rows leave the run and `flush` before they return.
+    `row(i)` is trajectory i's record.
     """
 
     times: np.ndarray
@@ -104,6 +107,9 @@ class BatchRecord:
     final_coeffs: np.ndarray = None
     snapshots: np.ndarray = None  # (S, B, n) coeffs at snapshot_times
     snapshot_times: np.ndarray = None
+    # (slots, coeffs, values) of the record steps whose norms are not yet taken
+    _queue: tuple = field(default=None, init=False, repr=False)
+    _queued: int = field(default=0, init=False, repr=False)
 
     @classmethod
     def empty(cls, config, slots, B):
@@ -116,6 +122,8 @@ class BatchRecord:
     @classmethod
     def concat(cls, records):
         """Join the records of consecutive row shards of one batch, in row order."""
+        for rec in records:
+            rec._check_flushed()
         first = records[0]
 
         def cat(name, axis):
@@ -129,14 +137,41 @@ class BatchRecord:
                    snapshot_times=first.snapshot_times)
 
     def record(self, slot, a, operator, r):
-        """Fill one slot of the series from the rows of `a`.
+        """Queue one slot of the series: the rows of `a` and their grid values.
 
-        A blown-up row is frozen at NaN, so it writes the NaN its slot holds.
+        The queue holds up to _BLOCK rows, and `flush` takes their norms
+        once it is full.  A blown-up row is frozen at NaN, so it writes the
+        NaN its slot holds.
         """
         vals = operator.synth(a)
-        self.h_norms[slot] = operator.h_norm(a)
-        self.l2_norms[slot] = operator.l2_norm_spectral(a)
-        self.lrp1_powers[slot] = operator.lp_power(vals, r + 1.0)
+        if self._queue is None:
+            depth = max(1, _BLOCK // len(a))
+            self._queue = (np.empty(depth, dtype=int), np.empty((depth, *a.shape)),
+                           np.empty((depth, *vals.shape)))
+        slots, coeffs, values = self._queue
+        k = self._queued
+        slots[k], coeffs[k], values[k] = slot, a, vals
+        self._queued = k + 1
+        if self._queued == len(slots):
+            self.flush(operator, r)
+
+    def flush(self, operator, r):
+        """Fill the series at every queued slot, one norm call each, and free the queue.
+
+        Each row's norms do not depend on how many rows share the call, so
+        the series hold the bytes that one call per slot would give.
+        """
+        if self._queue is None:
+            return
+        slots, coeffs, values = (q[: self._queued] for q in self._queue)
+        self.h_norms[slots] = operator.h_norm(coeffs)
+        self.l2_norms[slots] = operator.l2_norm_spectral(coeffs)
+        self.lrp1_powers[slots] = operator.lp_power(values, r + 1.0)
+        self._queue, self._queued = None, 0
+
+    def _check_flushed(self):
+        if self._queue is not None:
+            raise RuntimeError(f"{self._queued} record slots are queued; flush first")
 
     def blow_up(self, a, rows, t, reason):
         """Flag the live rows among `rows` (a bool mask) as blown up at time t.
@@ -156,6 +191,7 @@ class BatchRecord:
 
     def row(self, i):
         """Trajectory i's record; its series are views into this batch's."""
+        self._check_flushed()
         blown = bool(self.blown[i])
         return TrajectoryRecord(
             times=self.times,
@@ -217,7 +253,8 @@ def step(coeffs, dt, increments, scheme, model, operator):
     tamed_em, which needs no guard.
     """
     b, values = drift(coeffs, model, operator)
-    s = model.psi_prime(np.abs(values).max(axis=-1))
+    # np.maximum.reduce is .max(axis=-1) without its Python wrapper
+    s = model.psi_prime(np.maximum.reduce(np.abs(values), axis=-1))
     lam = operator.eigenvalues
     if scheme == "tamed_em":
         # per-mode taming with the spectral stiffness estimate
@@ -363,6 +400,7 @@ def _integrate(config, streams, a0, snapshot_times):
             break
         observe(step_idx)
 
+    rec.flush(op, mdl.r)
     rec.final_coeffs = a.copy()
     return rec
 
@@ -409,5 +447,6 @@ def coupled_simulate(config, initial_x, initial_y):
             break
         observe(step_idx)
 
+    rec.flush(op, mdl.r)
     rec.final_coeffs = a.copy()
     return rec.row(0), rec.row(1), dist

@@ -111,6 +111,27 @@ def test_transforms_are_row_independent(B):
             assert whole[i].tobytes() == fn(x[i]).tobytes()
 
 
+@pytest.mark.parametrize("n, grid", [(7, 100), (32, 256), (64, 512), (300, 2400)])
+@pytest.mark.parametrize("B", [1, 2, 3, 250])
+def test_norms_are_row_independent(n, grid, B):
+    # BatchRecord.flush takes the norms of up to 256 queued rows, K record
+    # slots of B rows each, in one call; that gives the bytes of one call
+    # per slot only because no row's norm depends on how many rows share
+    # the call.  n = 300 is past numpy's 128-element pairwise-sum block.
+    spec = OperatorSpec(n_modes=n, grid_size=grid)
+    K = max(1, 256 // B)
+    rng = np.random.default_rng(n * B)
+    a = rng.standard_normal((K, B, n))
+    v = rng.standard_normal((K, B, grid))
+    calls = [(spec.h_norm, a), (spec.l2_norm_spectral, a),
+             (lambda x: spec.lp_power(x, 4.0), v), (lambda x: spec.lp_power(x, 2.5), v)]
+    for fn, x in calls:
+        whole = fn(x)
+        assert whole.shape == (K, B)
+        for k in range(K):
+            assert whole[k].tobytes() == fn(x[k]).tobytes()
+
+
 def test_h_norm_examples(op):
     a = np.zeros(16)
     a[0] = 1.0

@@ -10,7 +10,7 @@ from spme import solver
 from spme.basis import OperatorSpec
 from spme.bounds import BoundParams, contraction_bound
 from spme.cli import main
-from spme.config import ConfigError, parse_config
+from spme.config import ConfigError, build_sim, parse_config
 from spme.model import AssumptionError, Nonlinearity, certify_constants
 from spme.noise import NoiseSpec, NoiseStream, trace
 from spme.solver import (
@@ -290,6 +290,153 @@ def test_coupled_distance_monotone_and_bounded():
     k, _ = certify_constants(CUBIC, op.eigenvalue(1), trace(nz, op))
     p = BoundParams(r=3.0, eta=k.eta, theta=k.theta, lambda_1=op.eigenvalue(1))
     assert dist[-1] <= contraction_bound(2.0 / np.pi, 0.1, p) * 1.1
+
+
+def per_slot_series(cfg, streams, a0, pair=False):
+    """Oracle: each record step's norms taken by one call per slot.
+
+    The rows are stepped by solver.step, a pair one row at a time as
+    coupled_simulate does.  Returns the (T, B) h, L^2 and L^(r+1) series
+    and the H-distance of rows 0 and 1.  No row may blow up.
+    """
+    op, mdl, dt = cfg.operator, cfg.model, cfg.dt
+    a = np.array(a0, dtype=float)
+    slots = solver._schedule(cfg)
+    h, l2, lp = (np.full((len(slots), len(a)), np.nan) for _ in range(3))
+    dist = np.full(len(slots), np.nan)
+
+    def take(k):
+        h[k], l2[k] = op.h_norm(a), op.l2_norm_spectral(a)
+        lp[k] = op.lp_power(op.synth(a), mdl.r + 1.0)
+        dist[k] = op.h_norm(a[0] - a[1])
+
+    take(0)
+    for step_idx, inc in enumerate(solver._increments(cfg, streams), start=1):
+        if pair:
+            for i in range(2):
+                a[i], _ = step(a[i], dt, inc[0], cfg.scheme, mdl, op)
+        else:
+            a, _ = step(a, dt, inc, cfg.scheme, mdl, op)
+        if step_idx in slots:
+            take(slots[step_idx])
+    return h, l2, lp, dist
+
+
+def test_queued_pair_record_matches_per_slot_norms(monkeypatch):
+    # 301 record slots of 2 rows: the 128-slot queue flushes when full at
+    # slots 127 and 255, and coupled_simulate flushes the last 45
+    nz = NoiseSpec(profile="diagonal_power", c=0.2, a=1.0, master_seed=5)
+    cfg = make_config(noise=nz, t_end=0.03, record_every=1)
+    flushed, flush = [], solver.BatchRecord.flush
+
+    def spy(rec, *args):
+        flushed.append(rec._queued)
+        return flush(rec, *args)
+
+    monkeypatch.setattr(solver.BatchRecord, "flush", spy)
+    x0 = initial_coeffs(cfg)
+    rx, ry, dist = coupled_simulate(cfg, initial_x=x0, initial_y=-x0)
+    assert flushed == [128, 128, 45]
+    h, l2, lp, want_dist = per_slot_series(cfg, [NoiseStream(nz)], [x0, -x0], pair=True)
+    for i, rec in enumerate((rx, ry)):
+        assert not rec.blown_up
+        assert rec.h_norms.tobytes() == h[:, i].tobytes()
+        assert rec.l2_norms.tobytes() == l2[:, i].tobytes()
+        assert rec.lrp1_powers.tobytes() == lp[:, i].tobytes()
+    assert dist.tobytes() == want_dist.tobytes()
+
+
+PAIR_BLOWN_MID_QUEUE = """\
+operator.n_modes = 8
+operator.grid_size = 64
+model.psi = odd_power
+noise.profile = diagonal_power
+noise.c = 0.5
+noise.a = 1.0
+noise.seed = 0
+sim.dt = 0.0001
+sim.t_end = 0.05
+sim.scheme = explicit_em
+sim.record_every = 1
+sim.initial = e1
+sim.initial_scale = 0.2
+sim.initial_y = e1
+sim.initial_y_scale = -0.2
+sim.gate_override = true
+"""
+
+
+def test_pair_blown_mid_queue_keeps_its_rows(tmp_path):
+    # the explicit-EM guard stops the pair at step 138, ten slots into the
+    # second 128-slot queue block: the final flush fills those ten slots,
+    # and couple.csv keeps all 138 rows recorded before the blow-up
+    cfg = parse_config(PAIR_BLOWN_MID_QUEUE)
+    sim = build_sim(cfg)
+    x0 = initial_coeffs(sim)
+    rx, ry, dist = coupled_simulate(sim, initial_x=x0, initial_y=-x0)
+    assert rx.blow_up_time == pytest.approx(138 * sim.dt)
+    assert rx.blow_up_reason == "stability guard violated"
+    h, l2, lp, want_dist = per_slot_series(sim, [NoiseStream(sim.noise)], [x0, -x0], pair=True)
+    for i, rec in enumerate((rx, ry)):
+        for got, want in ((rec.h_norms, h), (rec.l2_norms, l2), (rec.lrp1_powers, lp)):
+            assert got[:138].tobytes() == want[:138, i].tobytes()
+            assert np.all(np.isnan(got[138:]))
+    assert dist[:138].tobytes() == want_dist[:138].tobytes()
+    assert np.all(np.isnan(dist[138:]))
+    path, out = tmp_path / "run.cfg", tmp_path / "out"
+    path.write_text(PAIR_BLOWN_MID_QUEUE)
+    assert main(["couple", "--config", str(path), "--out", str(out)]) == 4
+    rows = (out / "couple.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[1]) for row in rows] == dist[:138].tolist()
+
+
+def test_sharded_queued_record_matches_per_slot_norms(monkeypatch):
+    # two 2-row shards, each queueing 128 slots: flushed at 128, 256 and the end
+    nz = NoiseSpec(profile="diagonal_power", c=0.2, a=1.0, master_seed=11)
+    cfg = make_config(noise=nz, t_end=0.03, record_every=1, gate_override=True)
+    a0 = np.zeros((4, 16))
+    a0[:, 0] = (0.3, 0.6, 0.9, 1.2)
+    monkeypatch.setattr(solver, "_shard_count", lambda B: 2)
+    rec = run_batch(cfg, [NoiseStream(nz, j) for j in range(4)], a0)
+    h, l2, lp, _ = per_slot_series(cfg, [NoiseStream(nz, j) for j in range(4)], a0)
+    assert not rec.blown.any()
+    assert rec.h_norms.tobytes() == h.tobytes()
+    assert rec.l2_norms.tobytes() == l2.tobytes()
+    assert rec.lrp1_powers.tobytes() == lp.tobytes()
+
+
+def queued_record():
+    """A 2-row record with one slot queued and not yet flushed."""
+    cfg = make_config(record_every=1)
+    rec = solver.BatchRecord.empty(cfg, solver._schedule(cfg), 2)
+    a = np.zeros((2, 16))
+    a[:, 0] = 1.0
+    rec.record(0, a, cfg.operator, cfg.model.r)
+    rec.final_coeffs = a
+    rec.snapshots, rec.snapshot_times = np.zeros((0, 2, 16)), np.zeros(0)
+    return rec, cfg
+
+
+def test_row_of_queued_record_raises():
+    rec, cfg = queued_record()
+    with pytest.raises(RuntimeError, match="1 record slots are queued"):
+        rec.row(0)
+    assert np.isnan(rec.h_norms[0]).all()
+    rec.flush(cfg.operator, cfg.model.r)
+    assert rec._queue is None  # a flushed record holds no queue arrays
+    assert rec.row(0).h_norms[0] == pytest.approx(1.0 / np.pi)
+
+
+def test_concat_of_queued_record_raises():
+    rec, cfg = queued_record()
+    with pytest.raises(RuntimeError, match="1 record slots are queued"):
+        solver.BatchRecord.concat([rec])
+    rec.flush(cfg.operator, cfg.model.r)
+    assert solver.BatchRecord.concat([rec]).h_norms.tobytes() == rec.h_norms.tobytes()
+    # a finished run returns a record with no queue left
+    a0 = np.zeros((2, 16))
+    a0[:, 0] = 1.0
+    assert run_batch(make_config(record_every=1, gate_override=True), None, a0)._queue is None
 
 
 def test_config_validation(tmp_path):
