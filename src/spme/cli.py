@@ -69,16 +69,36 @@ def _load(args):
     return cfg, sim, out
 
 
-def _overflow_errors(op, states):
-    """A config error for each initial state whose H-norm overflows.
+def _overflow_errors(op, states, r=None):
+    """A config error for each initial state whose H-norm overflows, or,
+    given the degree r, whose L^(r+1) power does.
 
     `states` holds (key, setting, coeffs) triples: the config key that
     sets a state, its setting as the error should quote it, and the
-    state's coefficients.  Such a state is non-finite before step 1.
+    state's coefficients.  Such a state is non-finite before step 1, or
+    records an infinite L^(r+1) power from t = 0.
     """
+    errors = []
     with np.errstate(over="ignore"):
-        return [f"{key}: the initial H-norm overflows at {setting}"
-                for key, setting, a in states if not np.isfinite(op.h_norm(a))]
+        for key, setting, a in states:
+            if not np.isfinite(op.h_norm(a)):
+                errors.append(f"{key}: the initial H-norm overflows at {setting}")
+            elif r is not None and _power_overflows(op, a, r + 1.0):
+                errors.append(f"{key}: the initial L^(r+1) power overflows at {setting}")
+    return errors
+
+
+def _power_overflows(op, a, p):
+    """True if the grid integral of |X|^p overflows for the coefficients a.
+
+    On the grid |X| <= sqrt(2) * sum|a_k| (1.5 leaves room for rounding),
+    which bounds the sum of the grid_size powers.  A state whose bound is
+    below 1e300 is not synthesized, so the check adds no transform to a
+    usual run.
+    """
+    if op.grid_size * (1.5 * np.abs(a).sum()) ** p <= 1e300:
+        return False
+    return not np.isfinite(op.lp_power(op.synth(a), p))
 
 
 def _scaled(cfg, key, coeffs):
@@ -105,7 +125,8 @@ def cmd_verify(args):
 def cmd_simulate(args):
     cfg, sim, out = _load(args)
     errors = _overflow_errors(
-        sim.operator, [_scaled(cfg, "sim.initial_scale", solver_mod.initial_coeffs(sim))]
+        sim.operator, [_scaled(cfg, "sim.initial_scale", solver_mod.initial_coeffs(sim))],
+        sim.model.r,
     )
     if errors:
         raise config_mod.ConfigError(errors)
@@ -203,7 +224,7 @@ def cmd_ergodic(args):
     errors += _overflow_errors(sim.operator, [
         ("ensemble.initials", label, solver_mod.initial_coeffs(sim, preset, scale))
         for label, (preset, scale) in zip(cfg["ensemble.initials"], initials)
-    ])
+    ], sim.model.r)
     if errors:
         raise config_mod.ConfigError(errors)
     report, samples = ergodic_mod.mixing_experiment(

@@ -13,7 +13,7 @@ from .basis import OperatorSpec
 from .ergodic import BUILTIN_FUNCTIONALS
 from .model import PHI_KINDS, PSI_KINDS, Nonlinearity
 from .noise import PROFILES, NoiseSpec
-from .solver import INITIAL_PRESETS, SCHEMES, SimConfig, whole_steps
+from .solver import INITIAL_PRESETS, MAX_STEPS, SCHEMES, SimConfig, whole_steps
 
 
 class ConfigError(ValueError):
@@ -208,7 +208,7 @@ def _cross_key_errors(v):
     if dt > t_end:
         errors.append("sim.dt: must not exceed sim.t_end")
     elif not whole_steps(t_end, dt):
-        errors.append("sim.t_end: must be a whole number of sim.dt steps")
+        errors.append(f"sim.t_end: must be a whole number of sim.dt steps, at most {MAX_STEPS}")
     if any(not 0 < t <= t_end for t in v["ensemble.sample_times"]):
         errors.append("ensemble.sample_times: must lie in (0, sim.t_end]")
     return errors

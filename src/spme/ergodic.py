@@ -39,30 +39,30 @@ class EnsembleConfig:
     functionals: tuple = ("tanh_h_norm",)
 
     def __post_init__(self):
+        errors = []
         if self.n_traj < 2:
-            raise ValueError("need at least 2 trajectories")
+            errors.append("need at least 2 trajectories")
         st = np.asarray(self.sample_times, dtype=float)
         if len(st) == 0 or np.any(np.diff(st) <= 0):
-            raise ValueError("sample_times must be increasing and nonempty")
-        if st[0] <= 0 or st[-1] > self.base.t_end:
-            raise ValueError("sample_times must lie in (0, t_end]")
+            errors.append("sample_times must be increasing and nonempty")
+        elif st[0] <= 0 or st[-1] > self.base.t_end:
+            errors.append("sample_times must lie in (0, t_end]")
+        else:
+            # run_batch keeps one snapshot per step, at round(t / dt)
+            dt = self.base.dt
+            errors += [f"sample times {t0:g} and {t1:g} round to the same dt step"
+                       for t0, t1 in zip(st, st[1:]) if round(t0 / dt) == round(t1 / dt)]
         # run_ensemble keys each preset's samples by its label
         labels = [_initial_label(*initial) for initial in self.initial_set]
         if len(labels) < 2 or len(set(labels)) < len(labels):
-            raise ValueError(
+            errors.append(
                 "ensemble.initials: need at least two distinct presets, got "
                 + ", ".join(labels)
             )
-        # run_batch keeps one snapshot per step, at round(t / dt)
-        dt = self.base.dt
-        for t0, t1 in zip(st, st[1:]):
-            if round(t0 / dt) == round(t1 / dt):
-                raise ValueError(
-                    f"sample times {t0:g} and {t1:g} round to the same dt step"
-                )
-        for name in self.functionals:
-            if name not in BUILTIN_FUNCTIONALS:
-                raise ValueError(f"unknown functional {name!r}")
+        errors += [f"unknown functional {name!r}"
+                   for name in self.functionals if name not in BUILTIN_FUNCTIONALS]
+        if errors:
+            raise ValueError("; ".join(errors))
 
 
 @dataclass

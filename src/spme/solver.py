@@ -16,7 +16,7 @@ supported throughout, with per-trajectory noise streams.
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 
 import numpy as np
@@ -39,6 +39,10 @@ GUARD_FRACTION = 0.1
 # rows took 0.66-0.86 of its time; smaller grids break even later.
 MIN_SHARD_ROWS = 48
 
+# the most steps a run may take: past 2**53 every float is a whole number,
+# so t_end / dt says nothing of whole steps, and step * dt is not exact
+MAX_STEPS = 2**53
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -57,7 +61,7 @@ class SimConfig:
         if self.dt <= 0 or self.t_end <= 0 or self.dt > self.t_end:
             raise ValueError("need 0 < dt <= t_end")
         if not whole_steps(self.t_end, self.dt):
-            raise ValueError("t_end must be a whole number of dt steps")
+            raise ValueError(f"t_end must be a whole number of dt steps, at most {MAX_STEPS}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.record_every < 1:
@@ -70,8 +74,9 @@ class SimConfig:
 
 
 def whole_steps(t_end, dt):
-    """True if t_end is a whole number of dt steps, to a relative 1e-9."""
-    return abs(round(t_end / dt) * dt - t_end) <= 1e-9 * t_end
+    """True if t_end is a whole number of dt steps, at most MAX_STEPS, to a relative 1e-9."""
+    steps = t_end / dt
+    return steps <= MAX_STEPS and abs(round(steps) * dt - t_end) <= 1e-9 * t_end
 
 
 @dataclass
@@ -92,9 +97,9 @@ class TrajectoryRecord:
 class BatchRecord:
     """Recorded series of a batch of trajectories (T, B).
 
-    The integrators fill it in place: `record` at each record step,
-    `blow_up` when rows leave the run and `flush` before they return.
-    `row(i)` is trajectory i's record.
+    `empty` allocates it, and the integrators fill it in place: `record` at
+    each record step, `blow_up` when rows leave the run and `flush` before
+    they return.  `rows(lo, hi)` is a shard's part, `row(i)` trajectory i's.
     """
 
     times: np.ndarray
@@ -104,55 +109,49 @@ class BatchRecord:
     blown: np.ndarray  # (B,) bool
     blow_up_times: np.ndarray  # (B,), NaN while live
     blow_up_reasons: np.ndarray  # (B,) object, None while live
-    final_coeffs: np.ndarray = None
-    snapshots: np.ndarray = None  # (S, B, n) coeffs at snapshot_times
-    snapshot_times: np.ndarray = None
-    # (slots, coeffs, values) of the record steps whose norms are not yet taken
+    final_coeffs: np.ndarray  # (B, n)
+    snapshots: np.ndarray  # (S, B, n) coeffs at snapshot_times
+    snapshot_times: np.ndarray
+    # (first slot, coeffs, values) of the record steps whose norms are not yet taken
     _queue: tuple = field(default=None, init=False, repr=False)
     _queued: int = field(default=0, init=False, repr=False)
 
     @classmethod
-    def empty(cls, config, slots, B):
-        """All-NaN series with one row per record step in `slots`."""
-        series = [np.full((len(slots), B), np.nan) for _ in range(3)]
-        return cls(np.array(list(slots)) * config.dt, *series,
-                   blown=np.zeros(B, dtype=bool), blow_up_times=np.full(B, np.nan),
-                   blow_up_reasons=np.full(B, None, dtype=object))
+    def empty(cls, config, B, snapshot_times=()):
+        """An all-NaN record of B rows; `snapshot_times` are rounded to a step."""
+        n, dt = config.operator.n_modes, config.dt
+        steps = np.array(list(_schedule(config)))
+        snaps = np.array([int(round(t / dt)) for t in snapshot_times], dtype=int)
+        series = [np.full((len(steps), B), np.nan) for _ in range(3)]
+        return cls(steps * dt, *series, blown=np.zeros(B, dtype=bool),
+                   blow_up_times=np.full(B, np.nan),
+                   blow_up_reasons=np.full(B, None, dtype=object),
+                   final_coeffs=np.full((B, n), np.nan),
+                   snapshots=np.full((len(snaps), B, n), np.nan), snapshot_times=snaps * dt)
 
-    @classmethod
-    def concat(cls, records):
-        """Join the records of consecutive row shards of one batch, in row order."""
-        for rec in records:
-            rec._check_flushed()
-        first = records[0]
-
-        def cat(name, axis):
-            return np.concatenate([getattr(rec, name) for rec in records], axis=axis)
-
-        return cls(first.times, cat("h_norms", 1), cat("l2_norms", 1),
-                   cat("lrp1_powers", 1), blown=cat("blown", 0),
-                   blow_up_times=cat("blow_up_times", 0),
-                   blow_up_reasons=cat("blow_up_reasons", 0),
-                   final_coeffs=cat("final_coeffs", 0), snapshots=cat("snapshots", 1),
-                   snapshot_times=first.snapshot_times)
+    def rows(self, lo, hi):
+        """Rows lo:hi as a record of views into this one, with its own queue."""
+        by_row = ("blown", "blow_up_times", "blow_up_reasons", "final_coeffs")
+        by_time = ("h_norms", "l2_norms", "lrp1_powers", "snapshots")
+        return replace(self, **{k: getattr(self, k)[lo:hi] for k in by_row},
+                       **{k: getattr(self, k)[:, lo:hi] for k in by_time})
 
     def record(self, slot, a, operator, r):
         """Queue one slot of the series: the rows of `a` and their grid values.
 
-        The queue holds up to _BLOCK rows, and `flush` takes their norms
-        once it is full.  A blown-up row is frozen at NaN, so it writes the
-        NaN its slot holds.
+        Slots come in order, so the queue keeps only its first; it holds up
+        to _BLOCK rows, and `flush` takes their norms once it is full.  A
+        blown-up row is frozen at NaN, so it writes the NaN its slot holds.
         """
         vals = operator.synth(a)
         if self._queue is None:
             depth = max(1, _BLOCK // len(a))
-            self._queue = (np.empty(depth, dtype=int), np.empty((depth, *a.shape)),
-                           np.empty((depth, *vals.shape)))
-        slots, coeffs, values = self._queue
+            self._queue = (slot, np.empty((depth, *a.shape)), np.empty((depth, *vals.shape)))
+        _, coeffs, values = self._queue
         k = self._queued
-        slots[k], coeffs[k], values[k] = slot, a, vals
+        coeffs[k], values[k] = a, vals
         self._queued = k + 1
-        if self._queued == len(slots):
+        if self._queued == len(coeffs):
             self.flush(operator, r)
 
     def flush(self, operator, r):
@@ -163,15 +162,13 @@ class BatchRecord:
         """
         if self._queue is None:
             return
-        slots, coeffs, values = (q[: self._queued] for q in self._queue)
-        self.h_norms[slots] = operator.h_norm(coeffs)
-        self.l2_norms[slots] = operator.l2_norm_spectral(coeffs)
-        self.lrp1_powers[slots] = operator.lp_power(values, r + 1.0)
+        first, coeffs, values = self._queue
+        k = self._queued
+        slots = slice(first, first + k)
+        self.h_norms[slots] = operator.h_norm(coeffs[:k])
+        self.l2_norms[slots] = operator.l2_norm_spectral(coeffs[:k])
+        self.lrp1_powers[slots] = operator.lp_power(values[:k], r + 1.0)
         self._queue, self._queued = None, 0
-
-    def _check_flushed(self):
-        if self._queue is not None:
-            raise RuntimeError(f"{self._queued} record slots are queued; flush first")
 
     def blow_up(self, a, rows, t, reason):
         """Flag the live rows among `rows` (a bool mask) as blown up at time t.
@@ -191,7 +188,8 @@ class BatchRecord:
 
     def row(self, i):
         """Trajectory i's record; its series are views into this batch's."""
-        self._check_flushed()
+        if self._queue is not None:
+            raise RuntimeError(f"{self._queued} record slots are queued; flush first")
         blown = bool(self.blown[i])
         return TrajectoryRecord(
             times=self.times,
@@ -357,31 +355,26 @@ def run_batch(config, streams, a0, snapshot_times=()):
     a0 = np.asarray(a0, dtype=float)
     B = len(a0)
     W = _shard_count(B)
-    if W <= 1:
-        return _integrate(config, streams, a0, snapshot_times)
+    rec = BatchRecord.empty(config, B, snapshot_times)
     edges = [B * i // W for i in range(W + 1)]
     shards = [
-        (None if streams is None else streams[lo:hi], a0[lo:hi])
+        (None if streams is None else streams[lo:hi], a0[lo:hi], rec.rows(lo, hi))
         for lo, hi in zip(edges, edges[1:])
     ]
-    with ThreadPoolExecutor(W - 1) as pool:
-        rest = [pool.submit(_integrate, config, s, a, snapshot_times)
-                for s, a in shards[1:]]
-        first = _integrate(config, *shards[0], snapshot_times)
-        return BatchRecord.concat([first, *(f.result() for f in rest)])
+    with ThreadPoolExecutor(max(1, W - 1)) as pool:
+        rest = [pool.submit(_integrate, config, *shard) for shard in shards[1:]]
+        _integrate(config, *shards[0])
+        for f in rest:
+            f.result()
+    return rec
 
 
-def _integrate(config, streams, a0, snapshot_times):
-    """run_batch's loop over the rows of a0, without the gate check."""
+def _integrate(config, streams, a0, rec):
+    """run_batch's loop over the rows of a0, filling their record `rec` in place."""
     op, mdl, dt = config.operator, config.model, config.dt
     a = np.array(a0, dtype=float)
-    B, n = a.shape
     slots = _schedule(config)
-    snap_steps = [int(round(t / dt)) for t in snapshot_times]
-    snap_slots = {s: i for i, s in enumerate(snap_steps)}
-    rec = BatchRecord.empty(config, slots, B)
-    rec.snapshots = np.full((len(snap_steps), B, n), np.nan)
-    rec.snapshot_times = np.array(snap_steps, dtype=int) * dt
+    snap_slots = {int(round(t / dt)): i for i, t in enumerate(rec.snapshot_times)}
 
     def observe(step_idx):
         if step_idx in slots:
@@ -401,8 +394,7 @@ def _integrate(config, streams, a0, snapshot_times):
         observe(step_idx)
 
     rec.flush(op, mdl.r)
-    rec.final_coeffs = a.copy()
-    return rec
+    rec.final_coeffs[...] = a
 
 
 def simulate(config):
@@ -423,8 +415,9 @@ def coupled_simulate(config, initial_x, initial_y):
     _check_gate(config)
     op, mdl, dt = config.operator, config.model, config.dt
     a = np.array([initial_x, initial_y], dtype=float)
+    # the record first: empty's own schedule is freed before slots is built
+    rec = BatchRecord.empty(config, 2)
     slots = _schedule(config)
-    rec = BatchRecord.empty(config, slots, 2)
     dist = np.full(len(slots), np.nan)
     streams = None if config.noise.is_zero else [noise_mod.NoiseStream(config.noise)]
     both = np.ones(2, dtype=bool)
@@ -448,5 +441,5 @@ def coupled_simulate(config, initial_x, initial_y):
         observe(step_idx)
 
     rec.flush(op, mdl.r)
-    rec.final_coeffs = a.copy()
+    rec.final_coeffs[...] = a
     return rec.row(0), rec.row(1), dist

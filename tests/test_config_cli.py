@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from spme import bounds
+from spme import bounds, cli
 from spme.cli import main
 from spme.config import (
     ConfigError,
@@ -226,6 +226,7 @@ def test_config_error_exit_1(tmp_path, capsys):
     assert "r must exceed 1" in capsys.readouterr().err
 
 
+TOO_MANY_STEPS = "must be a whole number of sim.dt steps, at most 9007199254740992"
 GATE_FAIL = "model.phi = scaled_identity\nmodel.beta = 0.5\n"  # sigma = 0 < delta
 # burn_in 0.1 leaves the later sample times of the 0.2 horizon to average
 SMALL_ENSEMBLE = "ensemble.n_traj = 8\nensemble.burn_in = 0.1\n"
@@ -254,6 +255,10 @@ SMALL_ENSEMBLE = "ensemble.n_traj = 8\nensemble.burn_in = 0.1\n"
         ("verify", "model.alpha = 1.0\n", 1, "odd_power takes no linear coefficient"),
         ("ergodic", "ensemble.sample_times = 0.1,0.5\n", 1, "must lie in (0, sim.t_end]"),
         ("simulate", "sim.dt = 0.3\nsim.t_end = 0.5\n", 1, "whole number of sim.dt steps"),
+        # t_end / dt past 2**53 steps, or not finite at all
+        ("verify", "sim.t_end = inf\n", 1, f"sim.t_end: {TOO_MANY_STEPS}"),
+        ("couple", "sim.dt = 1e-320\n", 1, f"sim.t_end: {TOO_MANY_STEPS}"),
+        ("simulate", "sim.t_end = 1e300\n", 1, f"sim.t_end: {TOO_MANY_STEPS}"),
         ("simulate", "noise.profile = explicit_diagonal\nnoise.q = 0.1,nan\n", 1,
          "noise.q: must be finite"),
         # 0.0001 and 0.0002 both round to step 0 at sim.dt = 0.001
@@ -281,6 +286,11 @@ SMALL_ENSEMBLE = "ensemble.n_traj = 8\nensemble.burn_in = 0.1\n"
          "sim.initial_scale: the initial H-norm overflows at sim.initial_scale = 1e+200"),
         ("ergodic", "ensemble.initials = zero,1e200*e1\n" + SMALL_ENSEMBLE, 1,
          "ensemble.initials: the initial H-norm overflows at 1e200*e1"),
+        # a finite H-norm, but an infinite integral of |X|^(r+1) from t = 0
+        ("simulate", "sim.initial_scale = 1e100\n", 1,
+         "sim.initial_scale: the initial L^(r+1) power overflows at sim.initial_scale = 1e+100"),
+        ("ergodic", "ensemble.initials = zero,1e100*e1\n" + SMALL_ENSEMBLE, 1,
+         "ensemble.initials: the initial L^(r+1) power overflows at 1e100*e1"),
         # two labels for one preset would collapse their ensembles into one
         ("ergodic", "ensemble.initials = e1,1.0*e1\n" + SMALL_ENSEMBLE, 1,
          "ensemble.initials: need at least two distinct presets, got e1, e1"),
@@ -296,10 +306,12 @@ SMALL_ENSEMBLE = "ensemble.n_traj = 8\nensemble.burn_in = 0.1\n"
         "grid-aliased", "unknown-initial", "bad-initial-scale", "one-initial",
         "unknown-functional", "no-functional", "unordered-sample-times",
         "alpha-with-odd-power", "sample-time-past-t-end", "horizon-drift",
+        "infinite-horizon", "steps-past-float-range", "steps-past-2-53",
         "non-finite-q", "colliding-sample-times", "burn-in-past-samples",
         "thin-fit-window", "horizon-below-sample-floor", "couple-eta-not-above-theta",
         "couple-initial-norm-overflow", "couple-initial-distance-overflow",
         "simulate-initial-norm-overflow", "ergodic-initial-norm-overflow",
+        "simulate-initial-power-overflow", "ergodic-initial-power-overflow",
         "repeated-initial", "repeated-initial-of-three", "q-under-diagonal-power",
         "beta-under-zero-phi",
     ],
@@ -331,3 +343,86 @@ def test_ergodic_sample_time_floor_reported_with_other_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "sim.t_end: 0.005 is not past 10*sim.dt = 0.01" in err
     assert "ensemble.initials: the initial H-norm overflows at 1e200*e1" in err
+
+
+def test_ensemble_errors_reported_together(tmp_path, capsys):
+    text = BASE + (
+        "ensemble.initials = e1,1.0*e1\nensemble.sample_times = 0.0001,0.0002,"
+        + ",".join(f"{0.02 * k:g}" for k in range(1, 11)) + "\n" + SMALL_ENSEMBLE
+    )
+    cfg = write(tmp_path, text)
+    assert main(["ergodic", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "ensemble.initials: need at least two distinct presets, got e1, e1" in err
+    assert "sample times 0.0001 and 0.0002 round to the same dt step" in err
+
+
+# each on BASE + SMALL_ENSEMBLE, under every subcommand that reads a config
+EXTREME_SETTINGS = {
+    "t_end-inf": "sim.t_end = inf\n",
+    "t_end-1e300": "sim.t_end = 1e300\n",
+    "dt-1e-320": "sim.dt = 1e-320\n",
+    "scale-1e100": "sim.initial_scale = 1e100\n",
+    "scale-1e200": "sim.initial_scale = 1e200\n",
+    "scale-1e-320": "sim.initial_scale = 1e-320\n",
+    "y_scale-1e100": "sim.initial_y_scale = 1e100\n",
+    "c-inf": "noise.c = inf\n",
+    "c-inf-override": "noise.c = inf\nsim.gate_override = true\n",
+    "a-inf": "noise.a = inf\n",
+    "initials-1e100": "ensemble.initials = zero,1e100*e1\n",
+    "burn_in-inf": "ensemble.burn_in = inf\n",
+    "gamma-1e300": "model.gamma = 1e300\n",
+}
+
+
+def nonfinite_cells(path):
+    """The cells of a CSV or JSON artifact that parse as a float but are not finite."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        cells, stack = [], [json.loads(text)]
+        while stack:
+            v = stack.pop()
+            if isinstance(v, dict):
+                stack.extend(v.values())
+            elif isinstance(v, list):
+                stack.extend(v)
+            elif isinstance(v, (str, float, int)) and not isinstance(v, bool):
+                cells.append(v)
+    else:
+        cells = text.replace("\n", ",").split(",")
+    bad = []
+    for cell in cells:
+        try:
+            x = float(cell)
+        except ValueError:
+            continue
+        if not np.isfinite(x):
+            bad.append(cell)
+    return bad
+
+
+@pytest.mark.parametrize("setting", sorted(EXTREME_SETTINGS))
+@pytest.mark.parametrize("command", ["verify", "simulate", "couple", "ergodic"])
+def test_extreme_values_exit_cleanly(tmp_path, capsys, command, setting):
+    # a documented exit code and no traceback; at exit 0, only finite numbers
+    cfg = write(tmp_path, BASE + SMALL_ENSEMBLE + EXTREME_SETTINGS[setting])
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out)])
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err
+    if code == 0:
+        for path in sorted(out.iterdir()):
+            if path.suffix in (".csv", ".json"):
+                assert nonfinite_cells(path) == [], path.name
+
+
+def test_power_overflow_check_is_exact():
+    # the sum bound skips the transform only far below overflow; near it,
+    # the synthesized power decides: 1e76*e1 stays finite, 1e77*e1 does not
+    op = build_operator(parse_config(BASE))
+    for scale, overflows in ((1.0, False), (1e76, False), (1e77, True), (1e100, True)):
+        a = np.zeros(8)
+        a[0] = scale
+        with np.errstate(over="ignore"):
+            assert np.isfinite(op.lp_power(op.synth(a), 4.0)) != overflows
+        assert cli._power_overflows(op, a, 4.0) == overflows

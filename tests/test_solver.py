@@ -408,12 +408,10 @@ def test_sharded_queued_record_matches_per_slot_norms(monkeypatch):
 def queued_record():
     """A 2-row record with one slot queued and not yet flushed."""
     cfg = make_config(record_every=1)
-    rec = solver.BatchRecord.empty(cfg, solver._schedule(cfg), 2)
+    rec = solver.BatchRecord.empty(cfg, 2)
     a = np.zeros((2, 16))
     a[:, 0] = 1.0
     rec.record(0, a, cfg.operator, cfg.model.r)
-    rec.final_coeffs = a
-    rec.snapshots, rec.snapshot_times = np.zeros((0, 2, 16)), np.zeros(0)
     return rec, cfg
 
 
@@ -425,14 +423,6 @@ def test_row_of_queued_record_raises():
     rec.flush(cfg.operator, cfg.model.r)
     assert rec._queue is None  # a flushed record holds no queue arrays
     assert rec.row(0).h_norms[0] == pytest.approx(1.0 / np.pi)
-
-
-def test_concat_of_queued_record_raises():
-    rec, cfg = queued_record()
-    with pytest.raises(RuntimeError, match="1 record slots are queued"):
-        solver.BatchRecord.concat([rec])
-    rec.flush(cfg.operator, cfg.model.r)
-    assert solver.BatchRecord.concat([rec]).h_norms.tobytes() == rec.h_norms.tobytes()
     # a finished run returns a record with no queue left
     a0 = np.zeros((2, 16))
     a0[:, 0] = 1.0
