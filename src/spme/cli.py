@@ -237,7 +237,7 @@ def cmd_ergodic(args):
         for t, mean, se, gap in zip(report.sample_times, *report.ptf[(name, label)],
                                     report.mixing_series[(name, label)])
     ])
-    mom_mean, mom_se, _ = report.moment_estimate
+    mom_mean, mom_se = report.moment_estimate
     _write_meta(out, "ergodic", {
         "fit_kind": report.fit_kind,
         "fit_rate": _f(report.fit.rate),

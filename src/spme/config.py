@@ -71,9 +71,6 @@ def _choice(default, choices, message):
     return _Key(str, default, lambda v: v in choices, message)
 
 
-# callable Phi is library-only: a config document has no way to spell it
-_CONFIG_PHI_KINDS = tuple(k for k in PHI_KINDS if k != "custom")
-
 SCHEMA = {
     "operator.n_modes": _Key(int, 64, lambda v: v >= 1, "must be positive"),
     "operator.grid_size": _Key(int, 512, lambda v: v >= 4, "must be at least 4"),
@@ -81,7 +78,7 @@ SCHEMA = {
     "model.psi": _choice("odd_power", PSI_KINDS, "unknown psi kind"),
     "model.alpha": _Key(float, 0.0, np.isfinite, "must be finite"),
     "model.gamma": _Key(float, 1.0, np.isfinite, "must be finite"),
-    "model.phi": _choice("zero", _CONFIG_PHI_KINDS, "unknown phi kind"),
+    "model.phi": _choice("zero", PHI_KINDS, "unknown phi kind"),
     "model.beta": _Key(float, 0.0, np.isfinite, "must be finite"),
     "noise.profile": _choice("zero", PROFILES, "unknown noise profile"),
     "noise.c": _Key(float, 0.0, lambda v: v >= 0, "must be nonnegative"),

@@ -183,46 +183,20 @@ def _mean_se(x):
     return np.mean(x, axis=0), np.std(x, axis=0, ddof=1) / np.sqrt(x.shape[0])
 
 
-def _post_burn_in_mean_se(series, sample_times, burn_in):
-    """Mean and standard error of per-trajectory post-burn-in time averages.
+def moment_check(samples, burn_in):
+    """Estimate the invariant moment of |X|^(r+1): (estimate, standard error).
 
-    `series` holds one (n_traj, n_times) array per initial preset; the
-    trajectories are pooled.  Each contributes its time average after
-    burn_in, and those averages are iid, giving an honest standard error.
+    The trajectories of every initial preset are pooled.  Each contributes
+    its time average after burn_in, and those averages are iid, giving an
+    honest standard error.
     """
-    mask = sample_times > burn_in
+    mask = samples.sample_times > burn_in
     if not np.any(mask):
         raise ValueError("no sample times beyond burn_in")
-    mean, se = _mean_se(np.concatenate([np.mean(x[:, mask], axis=1) for x in series]))
+    mean, se = _mean_se(
+        np.concatenate([np.mean(x[:, mask], axis=1) for x in samples.lrp1.values()])
+    )
     return float(mean), float(se)
-
-
-def estimate_invariant(samples, burn_in):
-    """Per-functional invariant-measure estimates (mean, std_err)."""
-    return {
-        name: _post_burn_in_mean_se(
-            [fv[:, :, fi] for fv in samples.func_values.values()],
-            samples.sample_times, burn_in,
-        )
-        for fi, name in enumerate(samples.functionals)
-    }
-
-
-def moment_check(samples, burn_in, doubled_samples=None):
-    """Estimate the invariant moment of |X|^(r+1).
-
-    Returns (estimate, standard error, stability flag); the flag needs a
-    second run at doubled mode count and is None without one.
-    """
-    mean, se = _post_burn_in_mean_se(samples.lrp1.values(), samples.sample_times, burn_in)
-    flag = None
-    if doubled_samples is not None:
-        mean2, _ = _post_burn_in_mean_se(
-            doubled_samples.lrp1.values(), doubled_samples.sample_times, burn_in
-        )
-        denom = max(abs(mean), 1e-300)
-        flag = bool(abs(mean2 - mean) / denom < 0.10)
-    return mean, se, flag
 
 
 def mixing_experiment(config, exponential=False, fit_window=None):

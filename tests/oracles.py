@@ -151,6 +151,41 @@ def comparison_ode_reference(c1, c2, r, h0, t_grid):
     return sol.y[0]
 
 
+def post_burn_in_mean_se(series, sample_times, burn_in):
+    """Mean and standard error of per-trajectory time averages after burn_in.
+
+    `series` holds one (n_traj, n_times) array per initial preset; each
+    trajectory of each preset contributes one time average.
+    """
+    keep = np.asarray(sample_times) > burn_in
+    averages = np.concatenate([np.mean(x[:, keep], axis=1) for x in series])
+    return float(np.mean(averages)), float(np.std(averages, ddof=1) / np.sqrt(len(averages)))
+
+
+def estimate_invariant(samples, burn_in):
+    """Per-functional invariant-measure estimates (mean, std_err) of an ensemble."""
+    return {
+        name: post_burn_in_mean_se(
+            [fv[:, :, fi] for fv in samples.func_values.values()],
+            samples.sample_times, burn_in,
+        )
+        for fi, name in enumerate(samples.functionals)
+    }
+
+
+def moment_doubling_check(samples, doubled_samples, burn_in):
+    """The invariant moment of |X|^(r+1): (estimate, std_err, stable).
+
+    stable says whether the estimate of a second ensemble, run at doubled
+    mode count, lies within 10% of it.
+    """
+    mean, se = post_burn_in_mean_se(samples.lrp1.values(), samples.sample_times, burn_in)
+    mean2, _ = post_burn_in_mean_se(
+        doubled_samples.lrp1.values(), doubled_samples.sample_times, burn_in
+    )
+    return mean, se, bool(abs(mean2 - mean) / max(abs(mean), 1e-300) < 0.10)
+
+
 def h_trace_extrapolated(n=2000):
     """sum_i q_i^2 / lambda_i for q_i = 1/i, lambda_i = (i pi)^2, n -> inf.
 

@@ -21,7 +21,7 @@ from spme.bounds import (
     fit_power_law,
 )
 from spme.cli import main
-from spme.ergodic import EnsembleConfig, moment_check, run_ensemble
+from spme.ergodic import EnsembleConfig, run_ensemble
 from spme.model import Nonlinearity, certify_constants
 from spme.noise import NoiseSpec, NoiseStream, trace
 from spme.solver import SimConfig, coupled_simulate, drift, run_batch
@@ -227,7 +227,7 @@ def test_criterion_6_invariant_moment_stability():
 
     coarse = ensemble(64, 512)
     fine = ensemble(128, 1024)
-    mean, se, stable = moment_check(coarse, burn_in=1.0, doubled_samples=fine)
+    mean, se, stable = oracles.moment_doubling_check(coarse, fine, burn_in=1.0)
     assert np.isfinite(mean) and mean >= 0.0
     assert stable, "invariant moment moved more than 10% under mode doubling"
 

