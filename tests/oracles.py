@@ -6,10 +6,12 @@ quadrature instead of fast sine transforms, exact transition laws
 instead of time stepping.  Clarity over speed; test-suite use only.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from spme.model import AssumptionError
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,53 @@ def eta_bruteforce(psi, r, sigma=0.0, box=(-10.0, 10.0), grid=400):
             if val < best:
                 best = val
     return best
+
+
+def eta_sigma_meshgrid(spec):
+    """(eta, sigma) by minimization over the full 400x400 grid of [-10, 10]^2.
+
+    Reference for `model.estimate_eta_sigma`, which takes the grid's 400
+    anti-diagonal pairs: sigma = alpha, and eta is the minimum over all
+    pairs s != t of
+
+        ((s-t)(Psi(s)-Psi(t)) - sigma*(s-t)^2) / |s-t|^(r+1),
+
+    with the numerator taken on the superlinear part P = Psi - alpha*s.
+    A minimum below -1e-12 raises `AssumptionError`.
+    """
+    sigma = spec.alpha
+    power = replace(spec, psi_kind="odd_power", alpha=0.0)
+    s = np.linspace(-10.0, 10.0, 400)
+    S, T = np.meshgrid(s, s, indexing="ij")
+    diff = S - T
+    mask = np.abs(diff) > 1e-9
+    num = diff * (power.psi(S) - power.psi(T))
+    ratio = num[mask] / np.abs(diff[mask]) ** (spec.r + 1.0)
+    eta = float(ratio.min())
+    if eta < -1e-12:
+        raise AssumptionError(
+            f"monotonicity violated: certified eta = {eta:.3e} < 0"
+        )
+    return max(eta, 0.0), sigma
+
+
+def growth_constant_scan(spec):
+    """Sup of (|Psi(s)| + |Phi(s)|)/(1+|s|^r) on a 20,001-point scan of
+    [-100, 100], joined with its |s| -> inf limit |gamma|."""
+    s = np.linspace(-100.0, 100.0, 20001)
+    ratio = (np.abs(spec.psi(s)) + np.abs(spec.phi(s))) / (
+        1.0 + np.abs(s) ** spec.r
+    )
+    tail = abs(spec.gamma)  # |s|->inf limit of |Psi(s)|/|s|^r; Phi is lower order
+    return float(max(ratio.max(), tail))
+
+
+def derivative_growth_constant_scan(spec):
+    """Sup of Psi'(s)/(1+|s|^(r-1)) on the same scan, joined with its limit |gamma|*r."""
+    s = np.linspace(-100.0, 100.0, 20001)
+    ratio = spec.psi_prime(s) / (1.0 + np.abs(s) ** (spec.r - 1.0))
+    tail = abs(spec.gamma) * spec.r
+    return float(max(ratio.max(), tail))
 
 
 def sine_product_integral(indices, powers, nodes=1_000_000):

@@ -251,8 +251,10 @@ TOO_MANY_STEPS = "must be a whole number of sim.dt steps, at most 90071992547409
 GATE_FAIL = "model.phi = scaled_identity\nmodel.beta = 0.5\n"  # sigma = 0 < delta
 # burn_in 0.1 leaves the later sample times of the 0.2 horizon to average
 SMALL_ENSEMBLE = "ensemble.n_traj = 8\nensemble.burn_in = 0.1\n"
-# gamma*r*|s|^(r-1) and gamma*|s|^r overflow at the growth scans' |s| = 100
-GROWTH_OVERFLOW = "model.gamma = 1e300\nmodel.r = 5.0\noperator.grid_size = 96\n"
+# certifies: eta = gamma/16, kappa = 5*gamma and c = gamma are finite
+GAMMA_1E300_R5 = "model.gamma = 1e300\nmodel.r = 5.0\noperator.grid_size = 96\n"
+# kappa = gamma*r overflows
+GROWTH_OVERFLOW = "model.gamma = 1e308\nmodel.r = 5.0\noperator.grid_size = 96\n"
 
 
 @pytest.mark.parametrize(
@@ -326,8 +328,7 @@ GROWTH_OVERFLOW = "model.gamma = 1e300\nmodel.r = 5.0\noperator.grid_size = 96\n
         # eta's certificate keeps the superlinear part however large alpha is
         ("verify", "model.psi = linear_plus_odd_power\nmodel.alpha = 1e14\n", 0, ""),
         # a certified constant that overflows fails the gate
-        ("couple", GROWTH_OVERFLOW, 2,
-         "certified kappa = inf is not finite; certified c = inf is not finite"),
+        ("couple", GROWTH_OVERFLOW, 2, "certified kappa = inf is not finite"),
     ],
     ids=[
         "couple-gate", "ergodic-gate", "ergodic-blow-up", "grid-below-modes",
@@ -353,6 +354,28 @@ def test_failure_exit_codes(tmp_path, capsys, command, extra, code, message):
     if code == 2:
         meta = json.loads((out / f"{command}_meta.json").read_text())
         assert meta["gate"] == "fail" and message in meta["error"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "extra, kappa, c",
+    [
+        ("operator.n_modes = 4\noperator.grid_size = 1610\nmodel.r = 200\n", "200", "1"),
+        (GAMMA_1E300_R5, "5.0000000000000003e+300", "1.0000000000000001e+300"),
+        ("model.gamma = 1e300\nmodel.r = 20\noperator.grid_size = 336\n",
+         "2.0000000000000001e+301", "1.0000000000000001e+300"),
+    ],
+    ids=["r-200", "gamma-1e300-r5", "gamma-1e300-r20"],
+)
+def test_verify_certifies_extreme_models(tmp_path, extra, kappa, c):
+    # kappa and c are closed forms, finite for every r and below gamma*r's
+    # overflow, and certifying them prints no NumPy warning
+    cfg = write(tmp_path, BASE + extra)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    header, row = (out / "verify.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), row.split(",")))
+    assert (row["kappa"], row["c"], row["gate"]) == (kappa, c, "pass")
 
 
 def test_ergodic_window_errors_reported_together(tmp_path, capsys):
@@ -400,7 +423,7 @@ EXTREME_SETTINGS = {
     "initials-1e100": "ensemble.initials = zero,1e100*e1\n",
     "burn_in-inf": "ensemble.burn_in = inf\n",
     "gamma-1e300": "model.gamma = 1e300\n",
-    "gamma-1e300-r5": GROWTH_OVERFLOW,
+    "gamma-1e300-r5": GAMMA_1E300_R5,
 }
 
 

@@ -46,3 +46,19 @@ def test_workload_matches_golden(tmp_path, name):
         if key not in _UNPINNED.get(name, ()):
             got = calls[key] if key.endswith(".calls") else tracer.counts[key]
             assert got == want, key
+
+
+# the certificates that feed couple.csv's envelopes, at the couple workload's model
+VERIFY_AT_COUPLE = (
+    b"eta,sigma,theta,delta,kappa,c,c1,c2,trace_q,gate\n"
+    b"0.24999999999999992,0,0,0,3,1,0,0,0.0043864908449286052,pass\n"
+)
+
+
+def test_verify_matches_golden_at_the_couple_model(tmp_path):
+    wl = workloads.WORKLOADS["couple"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(wl.text)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out), "--seed", str(wl.seed)]) == 0
+    assert (out / "verify.csv").read_bytes() == VERIFY_AT_COUPLE

@@ -1,15 +1,16 @@
 """Certified structural constants and the hypothesis gate."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+import oracles
 from spme.model import (
     AssumptionError,
     Nonlinearity,
     certify_constants,
-    derivative_growth_constant,
     estimate_eta_sigma,
-    growth_constant,
     phi_constants,
 )
 
@@ -41,7 +42,8 @@ def test_eta_scaling_with_gamma():
 
 
 def test_monotonicity_violation_raises():
-    with pytest.raises(AssumptionError):
+    # on the anti-diagonal the ratio is gamma*2^(1-r) = -0.25 throughout
+    with pytest.raises(AssumptionError, match="certified eta = -2.500e-01 < 0"):
         estimate_eta_sigma(Nonlinearity(r=3.0, psi_kind="odd_power", gamma=-1.0))
 
 
@@ -61,11 +63,57 @@ def test_phi_constants_bounded_lipschitz():
 
 
 def test_growth_constants():
-    cubic_tanh = Nonlinearity(r=3.0, phi_kind="bounded_lipschitz", beta=1.0)
-    assert growth_constant(cubic_tanh) <= 2.0
-    linear_cubic = Nonlinearity(r=3.0, psi_kind="linear_plus_odd_power", alpha=0.5)
-    assert growth_constant(linear_cubic) <= 1.5
-    assert derivative_growth_constant(cubic_tanh) == pytest.approx(3.0, abs=1e-6)
+    def kappa_c(**kw):
+        k, _ = certify_constants(Nonlinearity(**kw), LAM1)
+        return k.kappa, k.c
+
+    assert kappa_c(r=3.0) == (3.0, 1.0)
+    assert kappa_c(r=3.0, phi_kind="bounded_lipschitz", beta=1.0) == (3.0, 2.0)
+    assert kappa_c(r=3.0, psi_kind="linear_plus_odd_power", alpha=0.5) == (3.0, 1.5)
+    assert kappa_c(r=3.0, psi_kind="linear_plus_odd_power", alpha=7.0) == (7.0, 8.0)
+    assert kappa_c(r=5.0, gamma=2.5, phi_kind="scaled_identity", beta=-2.0) == (12.5, 4.5)
+    # gamma = 0: the supremum of alpha/(1+|s|^(r-1)) is its limit 0 when alpha < 0
+    assert kappa_c(r=3.0, psi_kind="linear_plus_odd_power", alpha=-0.3, gamma=0.0) == (0.0, 0.3)
+    # finite however large r is
+    assert kappa_c(r=200.0) == (200.0, 1.0)
+
+
+# the models the scans and the meshgrid can still evaluate without overflow
+CERT_R = (1.0001, 1.5, 2.0, 3.0, 5.0, 7.3, 20.0, 150.0)
+CERT_GAMMA = (0.0, 1e-3, 1.0, 2.5, 1e8)
+CERT_PHI = (("zero", 0.0), ("scaled_identity", -2.0), ("bounded_lipschitz", 0.5))
+
+
+def cert_models(alphas, phis=CERT_PHI):
+    for r, alpha, gamma, (phi, beta) in itertools.product(CERT_R, alphas, CERT_GAMMA, phis):
+        kind = "odd_power" if alpha == 0.0 else "linear_plus_odd_power"
+        yield Nonlinearity(r=r, psi_kind=kind, alpha=alpha, gamma=gamma,
+                           phi_kind=phi, beta=beta)
+
+
+def test_eta_is_the_meshgrid_minimum():
+    # the 400 anti-diagonal pairs give the bytes of all 160,000 grid pairs
+    for mdl in cert_models((0.0, 0.5, 3.0), phis=CERT_PHI[:1]):
+        eta, sigma = estimate_eta_sigma(mdl)
+        with np.errstate(over="ignore"):
+            want = oracles.eta_sigma_meshgrid(mdl)
+        assert (np.float64(eta).tobytes(), sigma) == (np.float64(want[0]).tobytes(), want[1]), mdl
+
+
+def test_growth_constants_bound_the_scans():
+    ulps = 1.0 + 4.0 * np.finfo(float).eps  # the scans' own rounding
+    for mdl in cert_models((0.0, 0.5, 3.0, -0.3)):
+        if mdl.r > 20.0:  # |s|^r overflows at |s| = 100
+            continue
+        k, _ = certify_constants(mdl, LAM1)
+        kappa_scan = oracles.derivative_growth_constant_scan(mdl)
+        c_scan = oracles.growth_constant_scan(mdl)
+        # both dominate every scanned ratio, and kappa is attained:
+        # at s = 0 (alpha) or as |s| -> inf (gamma*r)
+        assert kappa_scan <= k.kappa * ulps and k.kappa <= kappa_scan * ulps, mdl
+        assert c_scan <= k.c * ulps, mdl
+        if mdl.alpha == 0.0 and mdl.phi_is_zero:
+            assert k.c == mdl.gamma, mdl  # the ratio's limit, so the least bound
 
 
 def test_gate_pass_and_exponential_regime():
