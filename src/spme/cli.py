@@ -130,19 +130,19 @@ def cmd_simulate(args):
     )
     if errors:
         raise config_mod.ConfigError(errors)
-    record = solver_mod.simulate(sim)
-    kept = _finite_prefix(record.h_norms)
+    rec = solver_mod.simulate(sim)
+    kept = _finite_prefix(rec.h_norms[:, 0])
     _write_csv(out / "simulate.csv", "t,h_norm,l2_norm,lrp1_power", zip(
-        record.times[:kept], record.h_norms[:kept], record.l2_norms[:kept],
-        record.lrp1_powers[:kept]))
+        rec.times[:kept], rec.h_norms[:kept, 0], rec.l2_norms[:kept, 0],
+        rec.lrp1_powers[:kept, 0]))
     _write_meta(out, "simulate", {
-        "blown_up": record.blown_up,
-        "blow_up_time": None if record.blow_up_time is None else _f(record.blow_up_time),
-        "blow_up_reason": record.blow_up_reason,
+        "blown_up": rec.blown_up,
+        "blow_up_time": None if rec.blow_up_time is None else _f(rec.blow_up_time),
+        "blow_up_reason": rec.blow_up_reasons[0],
         "scheme": sim.scheme,
         "defaults_applied": list(cfg.applied_defaults),
     })
-    return EXIT_BLOWUP if record.blown_up else EXIT_OK
+    return EXIT_BLOWUP if rec.blown_up else EXIT_OK
 
 
 def cmd_couple(args):
@@ -169,30 +169,30 @@ def cmd_couple(args):
         )
     if errors:
         raise config_mod.ConfigError(errors)
-    rec_x, _, dist = solver_mod.coupled_simulate(sim, initial_x=ax, initial_y=ay)
+    rec, dist = solver_mod.coupled_simulate(sim, initial_x=ax, initial_y=ay)
     params = bounds_mod.BoundParams(
         r=sim.model.r, eta=k.eta, theta=k.theta, sigma=k.sigma, delta=k.delta,
         lambda_1=sim.operator.eigenvalue(1),
     )
-    bound_poly = bounds_mod.contraction_bound(z0, rec_x.times, params)
+    bound_poly = bounds_mod.contraction_bound(z0, rec.times, params)
     exponential = k.sigma > k.delta
     bound_exp = (
-        bounds_mod.exponential_bound(z0, rec_x.times, params) if exponential else None
+        bounds_mod.exponential_bound(z0, rec.times, params) if exponential else None
     )
     limit = bound_poly if bound_exp is None else np.minimum(bound_poly, bound_exp)
     kept = _finite_prefix(dist)
     violated = bool(np.any(dist[:kept] > BOUND_SLACK * limit[:kept] + 1e-12))
     _write_csv(out / "couple.csv", "t,dist_h,bound_poly,bound_exp", zip(
-        rec_x.times[:kept], dist[:kept], bound_poly[:kept],
+        rec.times[:kept], dist[:kept], bound_poly[:kept],
         repeat("") if bound_exp is None else bound_exp[:kept]))
     _write_meta(out, "couple", {
         "z0": _f(z0),
         "bound_violated": violated,
-        "blown_up": rec_x.blown_up,
+        "blown_up": rec.blown_up,
         "exponential_regime": exponential,
         "defaults_applied": list(cfg.applied_defaults),
     })
-    if rec_x.blown_up:
+    if rec.blown_up:
         return EXIT_BLOWUP
     return EXIT_BOUND if violated else EXIT_OK
 
@@ -234,7 +234,7 @@ def cmd_ergodic(args):
         (t, name, label, mean, se, gap)
         for name in samples.functionals
         for label in samples.func_values
-        for t, mean, se, gap in zip(report.sample_times, *report.ptf[(name, label)],
+        for t, mean, se, gap in zip(samples.sample_times, *report.ptf[(name, label)],
                                     report.mixing_series[(name, label)])
     ])
     mom_mean, mom_se = report.moment_estimate

@@ -74,14 +74,12 @@ class EnsembleSamples:
     func_values: dict
     # lrp1[initial_label] has shape (n_traj, n_times): |X|^(r+1) mass
     lrp1: dict
-    final_coeffs: dict
     excluded: dict
     functionals: tuple
 
 
 @dataclass
 class ErgodicReport:
-    sample_times: np.ndarray
     mu_estimates: dict  # functional -> (mean, std_err)
     mixing_series: dict  # (functional, initial) -> gap series
     mixing_gap: dict  # functional -> max-over-initials gap series
@@ -109,7 +107,7 @@ def run_ensemble(config):
     funcs = [BUILTIN_FUNCTIONALS[name] for name in config.functionals]
     sample_times = np.asarray(config.sample_times, dtype=float)
 
-    func_values, lrp1, finals, excluded = {}, {}, {}, {}
+    func_values, lrp1, excluded = {}, {}, {}
     for preset, scale in config.initial_set:
         label = _initial_label(preset, scale)
         a0 = np.tile(
@@ -137,14 +135,12 @@ def run_ensemble(config):
         # of them and their powers set the memory peak of a large ensemble
         r = base.model.r
         lrp1[label] = np.array([op.lp_power(op.synth(x), r + 1.0) for x in snaps]).T
-        finals[label] = rec.final_coeffs[live]
         excluded[label] = n_excl
 
     return EnsembleSamples(
         sample_times=sample_times,
         func_values=func_values,
         lrp1=lrp1,
-        final_coeffs=finals,
         excluded=excluded,
         functionals=tuple(config.functionals),
     )
@@ -241,7 +237,6 @@ def mixing_experiment(config, exponential=False, fit_window=None):
 
     mom = moment_check(samples, burn_in=config.burn_in)
     return ErgodicReport(
-        sample_times=times,
         mu_estimates=mu_est,
         mixing_series=mixing_series,
         mixing_gap=mixing_gap,

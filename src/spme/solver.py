@@ -80,26 +80,12 @@ def whole_steps(t_end, dt):
 
 
 @dataclass
-class TrajectoryRecord:
-    """Recorded norm series of a single trajectory."""
-
-    times: np.ndarray
-    h_norms: np.ndarray
-    l2_norms: np.ndarray
-    lrp1_powers: np.ndarray
-    final_coeffs: np.ndarray = None
-    blown_up: bool = False
-    blow_up_time: float = None
-    blow_up_reason: str = None
-
-
-@dataclass
 class BatchRecord:
     """Recorded series of a batch of trajectories (T, B).
 
     `empty` allocates it, and the integrators fill it in place: `record` at
     each record step, `blow_up` when rows leave the run and `flush` before
-    they return.  `rows(lo, hi)` is a shard's part, `row(i)` trajectory i's.
+    they return.  `rows(lo, hi)` is a shard's part.
     """
 
     times: np.ndarray
@@ -128,6 +114,17 @@ class BatchRecord:
                    blow_up_reasons=np.full(B, None, dtype=object),
                    final_coeffs=np.full((B, n), np.nan),
                    snapshots=np.full((len(snaps), B, n), np.nan), snapshot_times=snaps * dt)
+
+    # perfbench/tracer.py reads these two from the pair's record
+    @property
+    def blown_up(self):
+        """True if any row blew up."""
+        return bool(self.blown.any())
+
+    @property
+    def blow_up_time(self):
+        """The earliest row's blow-up time, or None if no row blew up."""
+        return float(np.nanmin(self.blow_up_times)) if self.blown_up else None
 
     def rows(self, lo, hi):
         """Rows lo:hi as a record of views into this one, with its own queue."""
@@ -185,22 +182,6 @@ class BatchRecord:
             self.blow_up_reasons[rows] = reason
             a[rows] = np.nan
         return self.blown.all()
-
-    def row(self, i):
-        """Trajectory i's record; its series are views into this batch's."""
-        if self._queue is not None:
-            raise RuntimeError(f"{self._queued} record slots are queued; flush first")
-        blown = bool(self.blown[i])
-        return TrajectoryRecord(
-            times=self.times,
-            h_norms=self.h_norms[:, i],
-            l2_norms=self.l2_norms[:, i],
-            lrp1_powers=self.lrp1_powers[:, i],
-            final_coeffs=self.final_coeffs[i],
-            blown_up=blown,
-            blow_up_time=float(self.blow_up_times[i]) if blown else None,
-            blow_up_reason=self.blow_up_reasons[i],
-        )
 
 
 class BlowUpError(RuntimeError):
@@ -369,6 +350,9 @@ def run_batch(config, streams, a0, snapshot_times=()):
     return rec
 
 
+# a non-finite state is the blow-up signal (nonfinite_rows), not a warning;
+# the decorator enters its context on each call, on every shard's thread
+@np.errstate(over="ignore", invalid="ignore")
 def _integrate(config, streams, a0, rec):
     """run_batch's loop over the rows of a0, filling their record `rec` in place."""
     op, mdl, dt = config.operator, config.model, config.dt
@@ -398,19 +382,21 @@ def _integrate(config, streams, a0, rec):
 
 
 def simulate(config):
-    """Integrate a single trajectory and record its norm series."""
+    """Integrate a single trajectory: the record of a batch of one."""
     a0 = initial_coeffs(config)[None, :]
     streams = None if config.noise.is_zero else [noise_mod.NoiseStream(config.noise)]
-    return run_batch(config, streams, a0).row(0)
+    return run_batch(config, streams, a0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def coupled_simulate(config, initial_x, initial_y):
     """Two trajectories driven by the identical noise path, stream id 0.
 
     initial_x and initial_y are coefficient vectors of length n_modes.
-    Returns (record_x, record_y, h_distance_series).  The distance is
-    computed spectrally, which is exact in the truncated space.  If either
-    trajectory blows up, both stop at that step.
+    Returns (record, h_distance_series): the record holds x as row 0 and
+    y as row 1.  The distance is computed spectrally, which is exact in
+    the truncated space.  If either trajectory blows up, both stop at
+    that step.
     """
     _check_gate(config)
     op, mdl, dt = config.operator, config.model, config.dt
@@ -442,4 +428,4 @@ def coupled_simulate(config, initial_x, initial_y):
 
     rec.flush(op, mdl.r)
     rec.final_coeffs[...] = a
-    return rec.row(0), rec.row(1), dist
+    return rec, dist

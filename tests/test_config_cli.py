@@ -453,6 +453,7 @@ def nonfinite_cells(path):
     return bad
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("setting", sorted(EXTREME_SETTINGS))
 @pytest.mark.parametrize("command", ["verify", "simulate", "couple", "ergodic"])
 def test_extreme_values_exit_cleanly(tmp_path, capsys, command, setting):

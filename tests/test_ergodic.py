@@ -1,5 +1,7 @@
 """Ensemble statistics: invariant estimates, mixing gaps, error scaling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -76,14 +78,16 @@ def test_monte_carlo_error_scaling():
 def test_linear_model_stationary_variance():
     # gate override: linear drift diagonalizes and mode 1 has exact
     # stationary variance q1^2 / (2 lambda_1)
-    cfg = small_config(n_traj=1000, t_end=1.0, model=LINEAR, c=0.3,
-                       gate_override=True, dt=2e-4)
+    cfg = replace(small_config(n_traj=1000, t_end=1.0, model=LINEAR, c=0.3,
+                               gate_override=True, dt=2e-4), functionals=("coord_1",))
     samples = run_ensemble(cfg)
     lam1 = np.pi**2
     q1 = 0.3
     target = q1**2 / (2.0 * lam1)
-    # a_1 samples at the final time from the zero-started ensemble
-    a1 = samples.final_coeffs["zero"][:, 0]
+    # a_1 = sqrt(lambda_1) * coord_1 at the last sample time, t_end, from
+    # the zero-started ensemble
+    assert cfg.sample_times[-1] == cfg.base.t_end
+    a1 = np.sqrt(lam1) * samples.func_values["zero"][:, -1, 0]
     var = np.var(a1, ddof=1)
     se = target * np.sqrt(2.0 / (len(a1) - 1))
     assert abs(var - target) < 4 * se

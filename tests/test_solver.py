@@ -1,7 +1,9 @@
 """Time stepping: drift values, schemes, dissipation, coupling, blow-up."""
 
+import importlib.util
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,7 +78,7 @@ def test_h_norm_strictly_decreasing_quiet_cubic():
     cfg = make_config(t_end=0.5, record_every=50, gate_override=True)
     rec = simulate(cfg)
     assert not rec.blown_up
-    assert np.all(np.diff(rec.h_norms) < 0.0)
+    assert np.all(np.diff(rec.h_norms[:, 0]) < 0.0)
 
 
 def test_linear_heat_decay():
@@ -87,7 +89,7 @@ def test_linear_heat_decay():
     )
     rec = simulate(cfg)
     exact = (1.0 / np.pi) * np.exp(-np.pi**2 * 0.1)
-    assert rec.h_norms[-1] == pytest.approx(exact, rel=1e-3)
+    assert rec.h_norms[-1, 0] == pytest.approx(exact, rel=1e-3)
 
 
 def test_gate_enforced_unless_overridden():
@@ -116,8 +118,8 @@ def test_explicit_blow_up_flagged():
     rec = simulate(cfg)
     assert rec.blown_up
     assert rec.blow_up_time is not None and rec.blow_up_time <= 0.05
-    assert rec.blow_up_reason is not None
-    assert np.isnan(rec.h_norms[-1])
+    assert rec.blow_up_reasons[0] is not None
+    assert np.isnan(rec.h_norms[-1, 0])
 
 
 def test_fully_blown_run_stops(monkeypatch):
@@ -134,9 +136,9 @@ def test_fully_blown_run_stops(monkeypatch):
     rec = simulate(cfg)
     assert len(calls) == 1
     assert rec.blow_up_time == 5e-3
-    assert rec.blow_up_reason == "stability guard violated"
+    assert rec.blow_up_reasons[0] == "stability guard violated"
     assert np.all(np.isnan(rec.final_coeffs))
-    assert np.isfinite(rec.h_norms[0]) and np.all(np.isnan(rec.h_norms[1:]))
+    assert np.isfinite(rec.h_norms[0, 0]) and np.all(np.isnan(rec.h_norms[1:]))
 
 
 def test_blown_shard_stops_alone(monkeypatch):
@@ -167,10 +169,11 @@ def test_coupled_explicit_guard_matches_single_run():
                       initial_scale=5.0, gate_override=True)
     single = simulate(cfg)
     x0 = initial_coeffs(cfg)
-    rx, ry, dist = coupled_simulate(cfg, initial_x=x0, initial_y=-x0)
-    assert single.blow_up_reason == "stability guard violated"
-    assert rx.blow_up_reason == ry.blow_up_reason == single.blow_up_reason
-    assert rx.blow_up_time == single.blow_up_time == pytest.approx(5e-3)
+    rec, dist = coupled_simulate(cfg, initial_x=x0, initial_y=-x0)
+    assert single.blow_up_reasons.tolist() == ["stability guard violated"]
+    assert rec.blow_up_reasons.tolist() == 2 * single.blow_up_reasons.tolist()
+    assert rec.blow_up_times.tolist() == 2 * single.blow_up_times.tolist()
+    assert rec.blow_up_time == single.blow_up_time == pytest.approx(5e-3)
     assert np.isfinite(dist[0]) and np.all(np.isnan(dist[1:]))
 
 
@@ -194,13 +197,12 @@ def test_batch_rows_carry_their_own_blow_up():
     a0 = np.zeros((2, 16))
     a0[:, 0] = (50.0, 0.1)
     rec = run_batch(cfg, None, a0)
-    blown, live = rec.row(0), rec.row(1)
-    assert blown.blown_up and blown.blow_up_reason == "stability guard violated"
-    assert blown.blow_up_time == pytest.approx(1e-5)
-    assert np.all(np.isnan(blown.final_coeffs))
-    assert not live.blown_up
-    assert live.blow_up_time is None and live.blow_up_reason is None
-    assert np.all(np.isfinite(live.h_norms)) and np.all(np.isfinite(live.final_coeffs))
+    assert rec.blown.tolist() == [True, False]
+    assert rec.blow_up_reasons.tolist() == ["stability guard violated", None]
+    assert rec.blow_up_times[0] == pytest.approx(1e-5) and np.isnan(rec.blow_up_times[1])
+    assert rec.blown_up and rec.blow_up_time == rec.blow_up_times[0]
+    assert np.all(np.isnan(rec.final_coeffs[0]))
+    assert np.all(np.isfinite(rec.h_norms[:, 1])) and np.all(np.isfinite(rec.final_coeffs[1]))
 
 
 def test_sharded_run_batch_is_bit_identical(monkeypatch):
@@ -268,6 +270,19 @@ def test_overflowing_row_flagged_non_finite():
     assert np.isnan(rec.final_coeffs[1]).all() and np.isfinite(rec.final_coeffs[0]).all()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflow_on_a_worker_shard_is_a_blow_up_not_a_warning(monkeypatch):
+    # rows 100-199, shard 1 on the pool thread, overflow at step 1; the
+    # warning would be raised on that thread and re-raised by run_batch
+    cfg = make_config(gate_override=True, t_end=1e-3)
+    a0 = np.zeros((200, 16))
+    a0[:100, 0], a0[100:, 0] = 1.0, 1e200
+    monkeypatch.setattr(solver, "_shard_count", lambda B: 2)
+    rec = run_batch(cfg, None, a0)
+    assert rec.blown.tolist() == 100 * [False] + 100 * [True]
+    assert set(rec.blow_up_reasons[100:]) == {"non-finite state"}
+
+
 def test_snapshots_recorded():
     cfg = make_config(t_end=0.02, record_every=10, gate_override=True)
     a0 = initial_coeffs(cfg)[None, :]
@@ -284,7 +299,7 @@ def test_coupled_distance_monotone_and_bounded():
                     record_every=1)
     x0 = np.zeros(16)
     x0[0] = 1.0
-    rx, ry, dist = coupled_simulate(cfg, initial_x=x0, initial_y=-x0)
+    _, dist = coupled_simulate(cfg, initial_x=x0, initial_y=-x0)
     assert dist[0] == pytest.approx(2.0 / np.pi)
     assert np.all(np.diff(dist) <= 1e-9 * (1.0 + dist[:-1]))
     k, _ = certify_constants(CUBIC, op.eigenvalue(1), trace(nz, op))
@@ -335,14 +350,13 @@ def test_queued_pair_record_matches_per_slot_norms(monkeypatch):
 
     monkeypatch.setattr(solver.BatchRecord, "flush", spy)
     x0 = initial_coeffs(cfg)
-    rx, ry, dist = coupled_simulate(cfg, initial_x=x0, initial_y=-x0)
+    rec, dist = coupled_simulate(cfg, initial_x=x0, initial_y=-x0)
     assert flushed == [128, 128, 45]
     h, l2, lp, want_dist = per_slot_series(cfg, [NoiseStream(nz)], [x0, -x0], pair=True)
-    for i, rec in enumerate((rx, ry)):
-        assert not rec.blown_up
-        assert rec.h_norms.tobytes() == h[:, i].tobytes()
-        assert rec.l2_norms.tobytes() == l2[:, i].tobytes()
-        assert rec.lrp1_powers.tobytes() == lp[:, i].tobytes()
+    assert not rec.blown_up
+    assert rec.h_norms.tobytes() == h.tobytes()
+    assert rec.l2_norms.tobytes() == l2.tobytes()
+    assert rec.lrp1_powers.tobytes() == lp.tobytes()
     assert dist.tobytes() == want_dist.tobytes()
 
 
@@ -373,14 +387,13 @@ def test_pair_blown_mid_queue_keeps_its_rows(tmp_path):
     cfg = parse_config(PAIR_BLOWN_MID_QUEUE)
     sim = build_sim(cfg)
     x0 = initial_coeffs(sim)
-    rx, ry, dist = coupled_simulate(sim, initial_x=x0, initial_y=-x0)
-    assert rx.blow_up_time == pytest.approx(138 * sim.dt)
-    assert rx.blow_up_reason == "stability guard violated"
+    rec, dist = coupled_simulate(sim, initial_x=x0, initial_y=-x0)
+    assert rec.blow_up_time == pytest.approx(138 * sim.dt)
+    assert rec.blow_up_reasons.tolist() == 2 * ["stability guard violated"]
     h, l2, lp, want_dist = per_slot_series(sim, [NoiseStream(sim.noise)], [x0, -x0], pair=True)
-    for i, rec in enumerate((rx, ry)):
-        for got, want in ((rec.h_norms, h), (rec.l2_norms, l2), (rec.lrp1_powers, lp)):
-            assert got[:138].tobytes() == want[:138, i].tobytes()
-            assert np.all(np.isnan(got[138:]))
+    for got, want in ((rec.h_norms, h), (rec.l2_norms, l2), (rec.lrp1_powers, lp)):
+        assert got[:138].tobytes() == want[:138].tobytes()
+        assert np.all(np.isnan(got[138:]))
     assert dist[:138].tobytes() == want_dist[:138].tobytes()
     assert np.all(np.isnan(dist[138:]))
     path, out = tmp_path / "run.cfg", tmp_path / "out"
@@ -388,6 +401,22 @@ def test_pair_blown_mid_queue_keeps_its_rows(tmp_path):
     assert main(["couple", "--config", str(path), "--out", str(out)]) == 4
     rows = (out / "couple.csv").read_text().splitlines()[1:]
     assert [float(row.split(",")[1]) for row in rows] == dist[:138].tolist()
+
+
+def test_benchmark_counts_a_blown_pair():
+    # perfbench/tracer.py, loaded read-only from its file, counts the pair
+    # from its record's blown_up and blow_up_time: 137 live steps per row
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    sim = build_sim(parse_config(PAIR_BLOWN_MID_QUEUE))
+    x0 = initial_coeffs(sim)
+    tracer = tracer_mod.Tracer()
+    with tracer_mod.installed(tracer):
+        solver.coupled_simulate(sim, initial_x=x0, initial_y=-x0)
+    assert tracer.counts["solver.blown"] == 2
+    assert tracer.counts["solver.live_traj_steps"] == 2 * 137
 
 
 def test_sharded_queued_record_matches_per_slot_norms(monkeypatch):
@@ -415,18 +444,18 @@ def queued_record():
     return rec, cfg
 
 
-def test_row_of_queued_record_raises():
+def test_flush_fills_the_queue_and_producers_return_flushed_records():
     rec, cfg = queued_record()
-    with pytest.raises(RuntimeError, match="1 record slots are queued"):
-        rec.row(0)
     assert np.isnan(rec.h_norms[0]).all()
     rec.flush(cfg.operator, cfg.model.r)
     assert rec._queue is None  # a flushed record holds no queue arrays
-    assert rec.row(0).h_norms[0] == pytest.approx(1.0 / np.pi)
+    assert rec.h_norms[0, 0] == pytest.approx(1.0 / np.pi)
     # a finished run returns a record with no queue left
     a0 = np.zeros((2, 16))
     a0[:, 0] = 1.0
-    assert run_batch(make_config(record_every=1, gate_override=True), None, a0)._queue is None
+    cfg = make_config(record_every=1, gate_override=True)
+    assert run_batch(cfg, None, a0)._queue is None
+    assert coupled_simulate(cfg, initial_x=a0[0], initial_y=-a0[0])[0]._queue is None
 
 
 def test_config_validation(tmp_path):
