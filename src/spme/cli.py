@@ -88,6 +88,7 @@ def _overflow_errors(op, states, r=None):
     return errors
 
 
+@np.errstate(over="ignore")  # an overflow is the answer, not a warning
 def _power_overflows(op, a, p):
     """True if the grid integral of |X|^p overflows for the coefficients a.
 

@@ -83,9 +83,9 @@ def whole_steps(t_end, dt):
 class BatchRecord:
     """Recorded series of a batch of trajectories (T, B).
 
-    `empty` allocates it, and the integrators fill it in place: `record` at
-    each record step, `blow_up` when rows leave the run and `flush` before
-    they return.  `rows(lo, hi)` is a shard's part.
+    `empty` allocates it at its record and snapshot steps, and the
+    integrators fill it in place: `observe` each step, `blow_up` when rows
+    leave the run and `flush` before they return; `rows(lo, hi)` is a shard's.
     """
 
     times: np.ndarray
@@ -98,22 +98,29 @@ class BatchRecord:
     final_coeffs: np.ndarray  # (B, n)
     snapshots: np.ndarray  # (S, B, n) coeffs at snapshot_times
     snapshot_times: np.ndarray
-    # (first slot, coeffs, values) of the record steps whose norms are not yet taken
+    # the record steps in slot order, and {step: index} of the snapshot steps
+    _steps: np.ndarray = field(repr=False)
+    _snaps: dict = field(repr=False)
+    _slot: int = field(default=0, init=False, repr=False)  # the next record slot
+    # (coeffs, values) of the queued slots, whose norms are not yet taken
     _queue: tuple = field(default=None, init=False, repr=False)
     _queued: int = field(default=0, init=False, repr=False)
 
     @classmethod
     def empty(cls, config, B, snapshot_times=()):
-        """An all-NaN record of B rows; `snapshot_times` are rounded to a step."""
+        """An all-NaN record of B rows at the record steps 0, k, 2k, ... (k =
+        record_every) and the last step; `snapshot_times` are rounded to a step."""
         n, dt = config.operator.n_modes, config.dt
-        steps = np.array(list(_schedule(config)))
+        n_steps = round(config.t_end / dt)
+        steps = np.array([*range(0, n_steps, config.record_every), n_steps])
         snaps = np.array([int(round(t / dt)) for t in snapshot_times], dtype=int)
         series = [np.full((len(steps), B), np.nan) for _ in range(3)]
         return cls(steps * dt, *series, blown=np.zeros(B, dtype=bool),
                    blow_up_times=np.full(B, np.nan),
                    blow_up_reasons=np.full(B, None, dtype=object),
                    final_coeffs=np.full((B, n), np.nan),
-                   snapshots=np.full((len(snaps), B, n), np.nan), snapshot_times=snaps * dt)
+                   snapshots=np.full((len(snaps), B, n), np.nan), snapshot_times=snaps * dt,
+                   _steps=steps, _snaps={s: i for i, s in enumerate(snaps.tolist())})
 
     # perfbench/tracer.py reads these two from the pair's record
     @property
@@ -127,45 +134,55 @@ class BatchRecord:
         return float(np.nanmin(self.blow_up_times)) if self.blown_up else None
 
     def rows(self, lo, hi):
-        """Rows lo:hi as a record of views into this one, with its own queue."""
+        """Rows lo:hi as a record of views into this one, with its own queue and next slot."""
         by_row = ("blown", "blow_up_times", "blow_up_reasons", "final_coeffs")
         by_time = ("h_norms", "l2_norms", "lrp1_powers", "snapshots")
         return replace(self, **{k: getattr(self, k)[lo:hi] for k in by_row},
                        **{k: getattr(self, k)[:, lo:hi] for k in by_time})
 
-    def record(self, slot, a, operator, r):
-        """Queue one slot of the series: the rows of `a` and their grid values.
+    def observe(self, step_idx, a, operator, r):
+        """Store `a` at a snapshot step, queue it at a record step; returns `record`'s result."""
+        if step_idx in self._snaps:
+            self.snapshots[self._snaps[step_idx]] = a
+        if step_idx == self._steps[self._slot]:
+            return self.record(a, operator, r)
 
-        Slots come in order, so the queue keeps only its first; it holds up
-        to _BLOCK rows, and `flush` takes their norms once it is full.  A
-        blown-up row is frozen at NaN, so it writes the NaN its slot holds.
+    def record(self, a, operator, r):
+        """Queue the next slot of the series: the rows of `a` and their grid values.
+
+        The queue holds up to _BLOCK rows; once it is full, `flush` takes
+        their norms and `record` returns its block (else None).  A blown-up
+        row is frozen at NaN, so it writes the NaN its slot holds.
         """
         vals = operator.synth(a)
         if self._queue is None:
             depth = max(1, _BLOCK // len(a))
-            self._queue = (slot, np.empty((depth, *a.shape)), np.empty((depth, *vals.shape)))
-        _, coeffs, values = self._queue
+            self._queue = (np.empty((depth, *a.shape)), np.empty((depth, *vals.shape)))
+        coeffs, values = self._queue
         k = self._queued
         coeffs[k], values[k] = a, vals
-        self._queued = k + 1
+        self._queued, self._slot = k + 1, self._slot + 1
         if self._queued == len(coeffs):
-            self.flush(operator, r)
+            return self.flush(operator, r)
 
     def flush(self, operator, r):
         """Fill the series at every queued slot, one norm call each, and free the queue.
 
         Each row's norms do not depend on how many rows share the call, so
         the series hold the bytes that one call per slot would give.
+        Returns the flushed block as (slots, coeffs): the slice of the series
+        it filled and its (slots, B, n) coefficients, or None if none were queued.
         """
         if self._queue is None:
             return
-        first, coeffs, values = self._queue
+        coeffs, values = self._queue
         k = self._queued
-        slots = slice(first, first + k)
+        slots = slice(self._slot - k, self._slot)
         self.h_norms[slots] = operator.h_norm(coeffs[:k])
         self.l2_norms[slots] = operator.l2_norm_spectral(coeffs[:k])
         self.lrp1_powers[slots] = operator.lp_power(values[:k], r + 1.0)
         self._queue, self._queued = None, 0
+        return slots, coeffs[:k]
 
     def blow_up(self, a, rows, t, reason):
         """Flag the live rows among `rows` (a bool mask) as blown up at time t.
@@ -250,7 +267,9 @@ def nonfinite_rows(a):
 
     One scalar test covers the usual all-finite state: a NaN or ±inf entry
     makes the sum non-finite.  Only a non-finite sum, which finite entries
-    whose sum overflows also give, builds the exact per-row mask.
+    whose sum overflows also give, builds the exact per-row mask.  The sum
+    warns on such inputs: both integrators call it under
+    np.errstate(over="ignore", invalid="ignore").
     """
     if math.isfinite(a.sum()):
         return None
@@ -272,16 +291,6 @@ def _check_gate(config):
         raise AssumptionError(
             "hypothesis gate failed: " + "; ".join(verdict.reasons)
         )
-
-
-def _schedule(config):
-    """The {step: slot} map of the record steps.
-
-    The record steps are 0, k, 2k, ... (k = record_every) and the last step.
-    """
-    n_steps = round(config.t_end / config.dt)
-    steps = [*range(0, n_steps, config.record_every), n_steps]
-    return {s: i for i, s in enumerate(steps)}
 
 
 def _increments(config, streams):
@@ -357,16 +366,7 @@ def _integrate(config, streams, a0, rec):
     """run_batch's loop over the rows of a0, filling their record `rec` in place."""
     op, mdl, dt = config.operator, config.model, config.dt
     a = np.array(a0, dtype=float)
-    slots = _schedule(config)
-    snap_slots = {int(round(t / dt)): i for i, t in enumerate(rec.snapshot_times)}
-
-    def observe(step_idx):
-        if step_idx in slots:
-            rec.record(slots[step_idx], a, op, mdl.r)
-        if step_idx in snap_slots:
-            rec.snapshots[snap_slots[step_idx]] = a
-
-    observe(0)
+    rec.observe(0, a, op, mdl.r)
     for step_idx, inc in enumerate(_increments(config, streams), start=1):
         a, unstable = step(a, dt, inc, config.scheme, mdl, op)
         t = step_idx * dt
@@ -375,7 +375,7 @@ def _integrate(config, streams, a0, rec):
         bad = nonfinite_rows(a)  # holds the rows just frozen at NaN too
         if bad is not None and rec.blow_up(a, bad, t, "non-finite state"):
             break
-        observe(step_idx)
+        rec.observe(step_idx, a, op, mdl.r)
 
     rec.flush(op, mdl.r)
     rec.final_coeffs[...] = a
@@ -395,25 +395,23 @@ def coupled_simulate(config, initial_x, initial_y):
     initial_x and initial_y are coefficient vectors of length n_modes.
     Returns (record, h_distance_series): the record holds x as row 0 and
     y as row 1.  The distance is computed spectrally, which is exact in
-    the truncated space.  If either trajectory blows up, both stop at
-    that step.
+    the truncated space, once per flushed record block.  If either
+    trajectory blows up, both stop at that step.
     """
     _check_gate(config)
     op, mdl, dt = config.operator, config.model, config.dt
     a = np.array([initial_x, initial_y], dtype=float)
-    # the record first: empty's own schedule is freed before slots is built
     rec = BatchRecord.empty(config, 2)
-    slots = _schedule(config)
-    dist = np.full(len(slots), np.nan)
+    dist = np.full(len(rec.times), np.nan)
     streams = None if config.noise.is_zero else [noise_mod.NoiseStream(config.noise)]
     both = np.ones(2, dtype=bool)
 
-    def observe(step_idx):
-        if step_idx in slots:
-            rec.record(slots[step_idx], a, op, mdl.r)
-            dist[slots[step_idx]] = op.h_norm(a[0] - a[1])
+    def distance(block):
+        if block is not None:
+            slots, coeffs = block
+            dist[slots] = op.h_norm(coeffs[:, 0] - coeffs[:, 1])
 
-    observe(0)
+    distance(rec.observe(0, a, op, mdl.r))
     for step_idx, inc in enumerate(_increments(config, streams), start=1):
         inc = 0.0 if streams is None else inc[0]
         # one row at a time: couple.csv pins the rounding of the 0-d sup|Psi'|
@@ -424,8 +422,8 @@ def coupled_simulate(config, initial_x, initial_y):
             break
         if nonfinite_rows(a) is not None and rec.blow_up(a, both, t, "non-finite state"):
             break
-        observe(step_idx)
+        distance(rec.observe(step_idx, a, op, mdl.r))
 
-    rec.flush(op, mdl.r)
+    distance(rec.flush(op, mdl.r))
     rec.final_coeffs[...] = a
     return rec, dist

@@ -469,6 +469,7 @@ def test_extreme_values_exit_cleanly(tmp_path, capsys, command, setting):
                 assert nonfinite_cells(path) == [], path.name
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_power_overflow_check_is_exact():
     # the sum bound skips the transform only far below overflow; near it,
     # the synthesized power decides: 1e76*e1 stays finite, 1e77*e1 does not

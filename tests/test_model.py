@@ -166,8 +166,12 @@ def general_psi(mdl, s):
     return mdl.alpha * s + mdl.gamma * s * np.abs(s) ** (mdl.r - 1.0)
 
 
-# s**3 overflows to inf on the largest inputs, as intended
-OVERFLOW_OK = pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+# s**3 overflows to inf on the largest inputs, and 0*inf is NaN on the
+# infinite ones, as intended
+OVERFLOW_OK = pytest.mark.filterwarnings(
+    "ignore:overflow:RuntimeWarning",
+    "ignore:invalid value encountered in multiply:RuntimeWarning",
+)
 
 
 def psi_inputs():

@@ -247,15 +247,18 @@ def test_sharded_run_batch_is_bit_identical(monkeypatch):
         assert rec.blow_up_reasons.tolist() == whole.blow_up_reasons.tolist()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nonfinite_rows():
+    # called as the integrators call it: their np.errstate hides the sum's warnings
     a = np.zeros((3, 16))
     a[1, :2] = 1e308  # finite entries whose sum overflows
-    assert not np.isfinite(a.sum())
-    assert nonfinite_rows(a) is None
-    for bad in (np.nan, np.inf, -np.inf):
-        b = a.copy()
-        b[2, 5] = bad
-        assert nonfinite_rows(b).tolist() == [False, False, True]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(a.sum())
+        assert nonfinite_rows(a) is None
+        for bad in (np.nan, np.inf, -np.inf):
+            b = a.copy()
+            b[2, 5] = bad
+            assert nonfinite_rows(b).tolist() == [False, False, True]
 
 
 def test_overflowing_row_flagged_non_finite():
@@ -292,6 +295,28 @@ def test_snapshots_recorded():
     assert np.array_equal(rec.snapshots[1, 0], rec.final_coeffs[0])
 
 
+def test_record_steps_and_observe():
+    # record_every = 3 over 10 steps: steps 0, 3, 6, 9 and the last, 10
+    cfg = make_config(dt=0.01, t_end=0.1, record_every=3, gate_override=True)
+    rec = solver.BatchRecord.empty(cfg, 1)
+    assert rec.times.tolist() == [s * 0.01 for s in (0, 3, 6, 9, 10)]
+    queued = []
+    a = np.zeros((1, 16))
+    for step_idx in range(11):
+        a[0, 0] = step_idx
+        rec.observe(step_idx, a, cfg.operator, cfg.model.r)
+        queued.append(rec._queued)
+    assert queued == [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 5]
+    slots, coeffs = rec.flush(cfg.operator, cfg.model.r)
+    assert slots == slice(0, 5)
+    assert coeffs[:, 0, 0].tolist() == [0, 3, 6, 9, 10]
+    # a snapshot at t_end is the final state, and the last slot its H-norm
+    a0 = initial_coeffs(cfg)[None, :]
+    rec = run_batch(cfg, None, a0, snapshot_times=(cfg.t_end,))
+    assert rec.snapshots[-1].tobytes() == rec.final_coeffs.tobytes()
+    assert rec.h_norms[-1].tobytes() == cfg.operator.h_norm(rec.final_coeffs).tobytes()
+
+
 def test_coupled_distance_monotone_and_bounded():
     nz = NoiseSpec(profile="diagonal_power", c=0.2, a=1.0, master_seed=3)
     op = OperatorSpec(n_modes=16, grid_size=128)
@@ -316,7 +341,8 @@ def per_slot_series(cfg, streams, a0, pair=False):
     """
     op, mdl, dt = cfg.operator, cfg.model, cfg.dt
     a = np.array(a0, dtype=float)
-    slots = solver._schedule(cfg)
+    n_steps = round(cfg.t_end / dt)
+    slots = {s: k for k, s in enumerate([*range(0, n_steps, cfg.record_every), n_steps])}
     h, l2, lp = (np.full((len(slots), len(a)), np.nan) for _ in range(3))
     dist = np.full(len(slots), np.nan)
 
@@ -339,19 +365,28 @@ def per_slot_series(cfg, streams, a0, pair=False):
 
 def test_queued_pair_record_matches_per_slot_norms(monkeypatch):
     # 301 record slots of 2 rows: the 128-slot queue flushes when full at
-    # slots 127 and 255, and coupled_simulate flushes the last 45
+    # slots 127 and 255, and coupled_simulate flushes the last 45; each
+    # flush takes two H-norms, the record's and the pair's distance
     nz = NoiseSpec(profile="diagonal_power", c=0.2, a=1.0, master_seed=5)
     cfg = make_config(noise=nz, t_end=0.03, record_every=1)
     flushed, flush = [], solver.BatchRecord.flush
+    norm_calls, h_norm = [], OperatorSpec.h_norm
 
     def spy(rec, *args):
         flushed.append(rec._queued)
         return flush(rec, *args)
 
+    def norm_spy(op, coeffs):
+        norm_calls.append(coeffs.shape)
+        return h_norm(op, coeffs)
+
     monkeypatch.setattr(solver.BatchRecord, "flush", spy)
+    monkeypatch.setattr(OperatorSpec, "h_norm", norm_spy)
     x0 = initial_coeffs(cfg)
     rec, dist = coupled_simulate(cfg, initial_x=x0, initial_y=-x0)
     assert flushed == [128, 128, 45]
+    # the record's (slots, 2, n) block, then the pair's (slots, n) distance
+    assert norm_calls == 2 * [(128, 2, 16), (128, 16)] + [(45, 2, 16), (45, 16)]
     h, l2, lp, want_dist = per_slot_series(cfg, [NoiseStream(nz)], [x0, -x0], pair=True)
     assert not rec.blown_up
     assert rec.h_norms.tobytes() == h.tobytes()
@@ -440,7 +475,7 @@ def queued_record():
     rec = solver.BatchRecord.empty(cfg, 2)
     a = np.zeros((2, 16))
     a[:, 0] = 1.0
-    rec.record(0, a, cfg.operator, cfg.model.r)
+    rec.record(a, cfg.operator, cfg.model.r)
     return rec, cfg
 
 
