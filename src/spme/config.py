@@ -127,9 +127,14 @@ class RunConfig:
         return dict(self.values)[key]
 
     def with_value(self, key, value):
-        d = dict(self.values)
+        """This config with `key` set to `value`, checked as a config line's value is."""
         if key not in SCHEMA:
             raise KeyError(key)
+        errors = []
+        SCHEMA[key].validate(key, value, errors)
+        if errors:
+            raise ConfigError(errors)
+        d = dict(self.values)
         d[key] = value
         return RunConfig(values=tuple(sorted(d.items())), applied_defaults=self.applied_defaults)
 

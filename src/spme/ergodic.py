@@ -136,6 +136,9 @@ def run_ensemble(config):
         r = base.model.r
         lrp1[label] = np.array([op.lp_power(op.synth(x), r + 1.0) for x in snaps]).T
         excluded[label] = n_excl
+        # dropped here, not at rebinding, so they are not alive through
+        # the next preset's run_batch
+        del rec, snaps
 
     return EnsembleSamples(
         sample_times=sample_times,

@@ -132,17 +132,23 @@ class NoiseStream:
     """Reproducible Gaussian stream keyed by (master_seed, stream_id)."""
 
     def __init__(self, spec, stream_id=0):
-        bitgen = np.random.Philox(key=[spec.master_seed & (2**64 - 1), int(stream_id)])
-        self._rng = np.random.Generator(bitgen)
+        # a uint64 array: from a list, NumPy makes seeds of 2**63 and up
+        # float64, and neighbouring seeds share a key
+        key = np.array([spec.master_seed & (2**64 - 1), int(stream_id)], dtype=np.uint64)
+        self._rng = np.random.Generator(np.random.Philox(key=key))
 
-    def normals(self, shape):
-        return self._rng.standard_normal(shape)
+    def normals(self, shape=None, out=None):
+        return self._rng.standard_normal(shape, out=out)
 
 
-def sample_increment_block(spec, n_modes, dt, stream, count):
-    """(count, n_modes) block of consecutive increments from one stream."""
+def sample_increment_block(spec, n_modes, dt, stream, out):
+    """Fill `out`, a C-contiguous (count, n_modes) array, with the next count
+    increments of one stream, and return it."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    xi = stream.normals((count, n_modes))
-    # xi is scaled by sqrt(dt) before q: the recorded artifacts pin this order
-    return spec.q_vector(n_modes) * (xi * np.sqrt(dt))
+    stream.normals(out=out)
+    # each entry is q * (xi * sqrt(dt)), with those two roundings: the
+    # recorded artifacts pin the order
+    out *= np.sqrt(dt)
+    out *= spec.q_vector(n_modes)
+    return out

@@ -297,20 +297,22 @@ def _increments(config, streams):
     """Each step's noise increments, in step order.
 
     A (B, n_modes) array per step, row j drawn from streams[j] in blocks
-    of _BLOCK steps, or 0.0 when there is no noise.
+    of _BLOCK steps, or 0.0 when there is no noise.  The blocks are drawn
+    into one buffer, refilled in place, so a yielded array is a view that
+    holds its values only until the next block is drawn.
     """
     nspec, n, dt = config.noise, config.operator.n_modes, config.dt
     n_steps = round(config.t_end / dt)
+    if nspec.is_zero:
+        yield from repeat(0.0, n_steps)
+        return
+    buf = np.empty((len(streams), min(_BLOCK, n_steps), n))
     for start in range(0, n_steps, _BLOCK):
         count = min(_BLOCK, n_steps - start)
-        if nspec.is_zero:
-            yield from repeat(0.0, count)
-            continue
-        dW = np.empty((len(streams), count, n))
         for j, stream in enumerate(streams):
-            dW[j] = noise_mod.sample_increment_block(nspec, n, dt, stream, count)
+            noise_mod.sample_increment_block(nspec, n, dt, stream, buf[j, :count])
         for k in range(count):
-            yield dW[:, k, :]
+            yield buf[:, k, :]
 
 
 def _shard_count(B):

@@ -329,6 +329,9 @@ GROWTH_OVERFLOW = "model.gamma = 1e308\nmodel.r = 5.0\noperator.grid_size = 96\n
         ("verify", "model.psi = linear_plus_odd_power\nmodel.alpha = 1e14\n", 0, ""),
         # a certified constant that overflows fails the gate
         ("couple", GROWTH_OVERFLOW, 2, "certified kappa = inf is not finite"),
+        # --seed is checked as noise.seed is: 2**64 and -1 would wrap to 0 and 2**64 - 1
+        ("simulate --seed=18446744073709551616", "", 1, "noise.seed: must fit in 64 bits"),
+        ("simulate --seed=-1", "", 1, "noise.seed: must fit in 64 bits"),
     ],
     ids=[
         "couple-gate", "ergodic-gate", "ergodic-blow-up", "grid-below-modes",
@@ -343,12 +346,14 @@ GROWTH_OVERFLOW = "model.gamma = 1e308\nmodel.r = 5.0\noperator.grid_size = 96\n
         "simulate-initial-power-overflow", "ergodic-initial-power-overflow",
         "repeated-initial", "repeated-initial-of-three", "q-under-diagonal-power",
         "beta-under-zero-phi", "huge-alpha", "growth-constant-overflow",
+        "seed-past-64-bits", "negative-seed",
     ],
 )
 def test_failure_exit_codes(tmp_path, capsys, command, extra, code, message):
+    command, *flags = command.split()
     cfg = write(tmp_path, BASE + extra)
     out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out)]) == code
+    assert main([command, *flags, "--config", cfg, "--out", str(out)]) == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     if code == 2:

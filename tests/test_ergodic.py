@@ -1,5 +1,6 @@
 """Ensemble statistics: invariant estimates, mixing gaps, error scaling."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -63,6 +64,24 @@ def test_lrp1_per_sample_time_matches_whole_array(monkeypatch):
         # the layout too: the post-burn-in means reduce along it
         assert samples.lrp1[label].strides == whole.strides
         assert samples.lrp1[label].tobytes() == whole.tobytes()
+
+
+def test_each_preset_record_is_released_before_the_next_runs(monkeypatch):
+    # a preset's record, snapshots and streams kept alive through the next
+    # preset's run_batch would add to the ensemble's memory peak
+    cfg = replace(small_config(n_traj=8, t_end=0.1),
+                  initial_set=(("zero", 1.0), ("e1", 1.0), ("band", 1.0)))
+    refs, run_batch = [], ergodic.run_batch
+
+    def spy(config, streams, *args, **kwargs):
+        assert [ref() for ref in refs] == [None] * len(refs)
+        rec = run_batch(config, streams, *args, **kwargs)
+        refs.extend((weakref.ref(rec), weakref.ref(streams[0])))
+        return rec
+
+    monkeypatch.setattr(ergodic, "run_batch", spy)
+    run_ensemble(cfg)
+    assert len(refs) == 6
 
 
 def test_monte_carlo_error_scaling():

@@ -107,11 +107,46 @@ def test_stream_reproducibility():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**62, 2**63 - 1, 2**63, 2**64 - 2])
+def test_neighbouring_seeds_draw_different_noise(seed):
+    # keyed from a Python list, seeds of 2**63 and up became float64: seed
+    # and seed + 1 drew the same noise, and near 2**64 NumPy warned
+    a, b = (NoiseStream(NoiseSpec(master_seed=s), stream_id=1).normals(4) for s in (seed, seed + 1))
+    assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 13, 12345, 2**62, 2**63 - 1])
+def test_stream_keys_below_2_63_are_unchanged(seed):
+    for stream_id in (0, 1, 499):
+        want = np.random.Generator(np.random.Philox(key=[seed, stream_id])).standard_normal(8)
+        got = NoiseStream(NoiseSpec(master_seed=seed), stream_id).normals(8)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_increment_block_is_q_times_scaled_normals():
+    # filled in place, each entry keeps the two roundings of q * (xi * sqrt(dt))
+    spec = NoiseSpec(profile="diagonal_power", c=0.03, a=1.0, master_seed=5)
+    n, dt, q = 32, 1e-4, spec.q_vector(32)
+    buf = np.full((2, 256, n), np.nan)
+    for j in range(2):
+        out = buf[j, :144]
+        assert sample_increment_block(spec, n, dt, NoiseStream(spec, stream_id=j), out) is out
+        xi = NoiseStream(spec, stream_id=j).normals((144, n))
+        assert buf[j, :144].tobytes() == (q * (xi * np.sqrt(dt))).tobytes()
+        assert np.isnan(buf[j, 144:]).all()
+    # 256 rows and then 144 rows from one stream are one 400-row draw
+    stream = NoiseStream(spec, stream_id=3)
+    head = sample_increment_block(spec, n, dt, stream, np.empty((256, n)))
+    tail = sample_increment_block(spec, n, dt, stream, np.empty((144, n)))
+    whole = sample_increment_block(spec, n, dt, NoiseStream(spec, stream_id=3), np.empty((400, n)))
+    assert np.concatenate([head, tail]).tobytes() == whole.tobytes()
+
+
 def test_increment_statistics():
     spec = NoiseSpec(profile="diagonal_power", c=0.5, a=1.0, master_seed=1)
     stream = NoiseStream(spec)
     n, dt, samples = 4, 0.01, 100_000
-    inc = sample_increment_block(spec, n, dt, stream, samples)
+    inc = sample_increment_block(spec, n, dt, stream, np.empty((samples, n)))
     q = spec.q_vector(n)
     se_mean = q * np.sqrt(dt) / np.sqrt(samples)
     assert np.all(np.abs(inc.mean(axis=0)) < 4 * se_mean)
@@ -129,4 +164,4 @@ def test_validation():
         NoiseSpec(profile="explicit_diagonal", q=[[1.0]])
     spec = NoiseSpec(profile="zero")
     with pytest.raises(ValueError):
-        sample_increment_block(spec, 4, -0.1, NoiseStream(spec), 1)
+        sample_increment_block(spec, 4, -0.1, NoiseStream(spec), np.empty((1, 4)))

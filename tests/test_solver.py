@@ -3,6 +3,7 @@
 import importlib.util
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,24 @@ def test_sharded_run_batch_is_bit_identical(monkeypatch):
             assert getattr(rec, name).shape == getattr(whole, name).shape
             assert getattr(rec, name).tobytes() == getattr(whole, name).tobytes(), name
         assert rec.blow_up_reasons.tolist() == whole.blow_up_reasons.tolist()
+
+
+def test_increments_hold_one_noise_block():
+    # 600 steps are blocks of 256, 256 and 88 rows drawn into one buffer
+    # that is refilled in place: a yielded increment is a view of it, valid
+    # only until the next block is drawn, and no second block is ever held
+    nz = NoiseSpec(profile="diagonal_power", c=0.03, a=1.0, master_seed=3)
+    cfg = make_config(operator=OperatorSpec(n_modes=32, grid_size=256), noise=nz, t_end=0.06)
+    streams = [NoiseStream(nz, j) for j in range(100)]
+    block = 100 * solver._BLOCK * 32 * 8
+    tracemalloc.start()
+    try:
+        steps = sum(1 for _ in solver._increments(cfg, streams))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steps == 600
+    assert peak < 1.25 * block, f"{peak / block:.2f} blocks"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
